@@ -965,14 +965,6 @@ let assert_adaptive_counters ~method_name doc =
             (Printf.sprintf "stats doc for %s missing adaptive.%s" method_name k))
       [ "rounds"; "samples_planned"; "samples_used"; "ci_width"; "target_width" ]
 
-let adaptive_result_doc (r : Adaptive.result) =
-  SD.result_of_adaptive ~value:r.Adaptive.value ~lower:r.Adaptive.lower
-    ~upper:r.Adaptive.upper ~exact:r.Adaptive.exact
-    ~ci_width:r.Adaptive.ci_width ~target_width:r.Adaptive.target_width
-    ~samples_used:r.Adaptive.samples_used
-    ~samples_planned:r.Adaptive.samples_planned ~rounds:r.Adaptive.rounds
-    ~stop:(Adaptive.stop_name r.Adaptive.stop)
-
 let adaptive cfg =
   banner "Adaptive: sequential stopping vs fixed sample budgets"
     "Each method draws in rounds until the 95% Wilson interval is no wider\n\
@@ -1039,7 +1031,7 @@ let adaptive cfg =
           let docs =
             stats_runs cfg ~method_name ~graph:d.D.abbr ~ts ~s:cap ~w:0
               ~trace:tr
-              (fun ~obs ~trace -> adaptive_result_doc (run ~obs ~trace))
+              (fun ~obs ~trace -> Adaptive.result_doc (run ~obs ~trace))
           in
           List.iter (assert_adaptive_counters ~method_name) docs;
           add docs
@@ -1069,7 +1061,8 @@ let batch cfg =
      each repeated 4 times) against one graph. The engine builds the\n\
      graph context, Csr snapshot and per-terminal-set preprocessing once\n\
      and memoizes full results, so repeats are near-free; every answer\n\
-     is asserted bit-identical to the from-scratch estimate. The section\n\
+     is asserted bit-identical to the same query answered from scratch\n\
+     by a fresh engine (the `netrel estimate` path). The section\n\
      fails if the cache counters do not prove the amortization or the\n\
      per-query speedup falls below the floor.";
   let d = D.karate ~seed:cfg.seed () in
@@ -1102,46 +1095,22 @@ let batch cfg =
       queries
   in
   let engine_dt = List.fold_left (fun acc (_, _, dt) -> acc +. dt) 0. served in
-  (* The same 16 queries computed from scratch, exactly as the CLI's
-     single-shot estimate path would. *)
-  let scratch_one (q : Engine.query) =
-    let config =
-      { S.default_config with S.samples = q.Engine.samples;
-        S.width = q.Engine.width; S.seed = q.Engine.seed }
-    in
-    match (q.Engine.method_, q.Engine.ci_width) with
-    | Engine.Pro, None ->
-      (R.estimate ~config g ~terminals:q.Engine.terminals).R.value
-    | Engine.Pro, Some cw ->
-      (Adaptive.reliability ~config ~jobs:1 ?max_samples:q.Engine.max_samples g
-         ~terminals:q.Engine.terminals ~ci_width:cw)
-        .Adaptive.value
-    | Engine.Sampling_mc, None ->
-      (Mcsampling.monte_carlo ~seed:q.Engine.seed g
-         ~terminals:q.Engine.terminals ~samples:q.Engine.samples)
-        .Mcsampling.value
-    | Engine.Sampling_ht, None ->
-      (Mcsampling.horvitz_thompson ~seed:q.Engine.seed g
-         ~terminals:q.Engine.terminals ~samples:q.Engine.samples)
-        .Mcsampling.value
-    | _ -> assert false
+  (* The same 16 queries, each as a one-query run on a fresh engine —
+     exactly the CLI's single-shot estimate path. *)
+  let fresh q =
+    let t0 = Relstats.now_monotonic () in
+    let a = Engine.query (Engine.create ~obs:(Obs.create ()) ()) g q in
+    (a, Relstats.now_monotonic () -. t0)
   in
-  let scratch =
-    List.map
-      (fun q ->
-        let t0 = Relstats.now_monotonic () in
-        let v = scratch_one q in
-        (v, Relstats.now_monotonic () -. t0))
-      queries
-  in
+  let scratch = List.map fresh queries in
   let scratch_dt = List.fold_left (fun acc (_, dt) -> acc +. dt) 0. scratch in
   List.iter2
-    (fun (_, (a : Engine.answer), _) (v, _) ->
-      if a.Engine.value <> v then
+    (fun (_, (a : Engine.answer), _) ((b : Engine.answer), _) ->
+      if a.Engine.value <> b.Engine.value then
         failwith
           (Printf.sprintf
              "batch: engine answer %.17g diverged from from-scratch %.17g"
-             a.Engine.value v))
+             a.Engine.value b.Engine.value))
     served scratch;
   Printf.printf "%-13s %-10s %14s %12s %12s\n" "Method" "Terminals" "R"
     "engine" "scratch";
@@ -1203,38 +1172,16 @@ let batch cfg =
             ~samples:q.Engine.samples ~result:a.Engine.result ~obs:a.Engine.obs)
         served
     in
-    (* One from-scratch document per distinct query, for the latency
+    (* One fresh-engine document per distinct query, for the latency
        baseline the committed BENCH file records. *)
     let scratch_docs =
       List.map
         (fun q ->
-          stats_run cfg
-            ~method_name:("scratch-" ^ Engine.method_name q.Engine.method_)
-            ~graph:d.D.abbr ~ts:q.Engine.terminals ~s:q.Engine.samples ~w
-            ~trace:Trace.disabled
-            (fun ~obs ~trace:_ ->
-              let config =
-                { S.default_config with S.samples = q.Engine.samples;
-                  S.width = q.Engine.width; S.seed = q.Engine.seed }
-              in
-              match (q.Engine.method_, q.Engine.ci_width) with
-              | Engine.Pro, None ->
-                SD.result_of_report
-                  (R.estimate ~obs ~config g ~terminals:q.Engine.terminals)
-              | Engine.Pro, Some cw ->
-                adaptive_result_doc
-                  (Adaptive.reliability ~obs ~config ~jobs:1
-                     ?max_samples:q.Engine.max_samples g
-                     ~terminals:q.Engine.terminals ~ci_width:cw)
-              | Engine.Sampling_mc, None ->
-                SD.result_of_estimate
-                  (Mcsampling.monte_carlo ~obs ~seed:q.Engine.seed g
-                     ~terminals:q.Engine.terminals ~samples:q.Engine.samples)
-              | Engine.Sampling_ht, None ->
-                SD.result_of_estimate
-                  (Mcsampling.horvitz_thompson ~obs ~seed:q.Engine.seed g
-                     ~terminals:q.Engine.terminals ~samples:q.Engine.samples)
-              | _ -> assert false))
+          let (a : Engine.answer), seconds = fresh q in
+          doc_of
+            ~method_name:("scratch-" ^ a.Engine.method_name)
+            ~seconds ~terminals:q.Engine.terminals ~samples:q.Engine.samples
+            ~result:a.Engine.result ~obs:a.Engine.obs)
         distinct
     in
     emit_json cfg ~section:"batch" (engine_docs @ scratch_docs)

@@ -8,7 +8,6 @@
 
 open Cmdliner
 module D = Workload.Datasets
-module S = Netrel.S2bdd
 module R = Netrel.Reliability
 module P = Preprocess.Pipeline
 
@@ -157,13 +156,15 @@ let guarded f =
 
 (* ---- estimate ---- *)
 
-type method_ = Pro | Sampling_mc | Sampling_ht | Bdd | Brute
+(* The engine serves the estimating methods; the exact baselines stay
+   here, since no query would ever share their work. *)
+type method_ = Served of Engine.method_ | Bdd | Brute
 
 let method_conv =
   let parse = function
-    | "pro" -> Ok Pro
-    | "sampling-mc" | "mc" -> Ok Sampling_mc
-    | "sampling-ht" | "ht" -> Ok Sampling_ht
+    | "pro" -> Ok (Served Engine.Pro)
+    | "sampling-mc" | "mc" -> Ok (Served Engine.Sampling_mc)
+    | "sampling-ht" | "ht" -> Ok (Served Engine.Sampling_ht)
     | "bdd" -> Ok Bdd
     | "brute" -> Ok Brute
     | s -> Error (`Msg (Printf.sprintf "unknown method %S" s))
@@ -171,8 +172,7 @@ let method_conv =
   Arg.conv (parse, fun fmt m ->
       Format.pp_print_string fmt
         (match m with
-        | Pro -> "pro" | Sampling_mc -> "sampling-mc" | Sampling_ht -> "sampling-ht"
-        | Bdd -> "bdd" | Brute -> "brute"))
+        | Served m -> Engine.method_name m | Bdd -> "bdd" | Brute -> "brute"))
 
 let kernel_arg =
   let doc = "Sampling draw kernel for $(b,sampling-mc) / $(b,sampling-ht): \
@@ -188,105 +188,53 @@ let kernel_arg =
            Mcsampling.Flat
        & info [ "kernel" ] ~docv:"KERNEL" ~doc)
 
-(* Shared human-readable rendering of a sequential-stopping run. *)
-let print_adaptive (r : Adaptive.result) dt =
-  Printf.printf "R = %.10g%s\nci95 = [%.10g, %.10g]  (width %.4g, target %.4g)\n"
-    r.Adaptive.value
-    (if r.Adaptive.exact then "  (exact)" else "")
-    r.Adaptive.lower r.Adaptive.upper r.Adaptive.ci_width
-    r.Adaptive.target_width;
-  Printf.printf "adaptive: %d samples in %d rounds, stop = %s\n"
-    r.Adaptive.samples_used r.Adaptive.rounds
-    (Adaptive.stop_name r.Adaptive.stop);
-  Printf.printf "time: %s\n" (Relstats.format_seconds dt)
-
-let adaptive_result_doc (r : Adaptive.result) =
+(* One query's stats document, as estimate, batch and serve print it. *)
+let query_doc ~command ~graph_name (q : Engine.query) ~method_name ~obs
+    ~seconds result =
   let module SD = Netrel.Statsdoc in
-  SD.result_of_adaptive ~value:r.Adaptive.value ~lower:r.Adaptive.lower
-    ~upper:r.Adaptive.upper ~exact:r.Adaptive.exact
-    ~ci_width:r.Adaptive.ci_width ~target_width:r.Adaptive.target_width
-    ~samples_used:r.Adaptive.samples_used
-    ~samples_planned:r.Adaptive.samples_planned ~rounds:r.Adaptive.rounds
-    ~stop:(Adaptive.stop_name r.Adaptive.stop)
-
-(* --stats json: run the chosen method under a live observer and emit
-   one structured stats document (Statsdoc) on stdout in place of the
-   human-readable report. The observer never touches random streams,
-   so the computed result is identical to the plain run; with
-   NETREL_FAKE_CLOCK set the whole document is byte-stable in the
-   seed (the cram test exercises exactly that). *)
-let run_estimate_stats ~g ~name ~ts ~seed ~samples ~width ~ht ~no_ext ~method_
-    ~jobs ~kernel ~trace ~ci_width ~max_samples =
-  let module SD = Netrel.Statsdoc in
-  let obs = Obs.create () in
-  let t0 = Obs.now obs in
-  (* Whole-run GC account (the document's top-level "gc" section, and
-     Chrome counter events when tracing); the per-phase sections keep
-     their own finer-grained deltas. *)
-  let gc_emit =
-    if Trace.enabled trace then Some (fun k v -> Trace.counter trace k v)
-    else None
-  in
-  let method_name, result =
-    Obs.gc_phase obs ?emit:gc_emit "gc" @@ fun () ->
-    match (method_, ci_width) with
-    | Pro, Some w ->
-      let estimator = if ht then S.Horvitz_thompson else S.Monte_carlo in
-      let config = { S.default_config with S.samples; S.width;
-                     S.estimator; S.seed = seed } in
-      let r = Adaptive.reliability ~obs ~trace ~config
-                ~extension:(not no_ext) ~jobs ?max_samples g ~terminals:ts
-                ~ci_width:w in
-      ((if ht then "pro-ht" else "pro"), adaptive_result_doc r)
-    | Sampling_mc, Some w ->
-      let r = Adaptive.monte_carlo ~obs ~trace ~seed ~jobs ~kernel
-                ?max_samples g ~terminals:ts ~ci_width:w in
-      ("sampling-mc", adaptive_result_doc r)
-    | Sampling_ht, Some w ->
-      let r = Adaptive.horvitz_thompson ~obs ~trace ~seed ~jobs ~kernel
-                ?max_samples g ~terminals:ts ~ci_width:w in
-      ("sampling-ht", adaptive_result_doc r)
-    | (Bdd | Brute), Some _ ->
-      (* Rejected before dispatch; keep the match total. *)
-      assert false
-    | Pro, None ->
-      let estimator = if ht then S.Horvitz_thompson else S.Monte_carlo in
-      let config = { S.default_config with S.samples; S.width;
-                     S.estimator; S.seed = seed } in
-      let rep = R.estimate ~obs ~trace ~config ~extension:(not no_ext) ~jobs g
-                  ~terminals:ts in
-      ((if ht then "pro-ht" else "pro"), SD.result_of_report rep)
-    | Sampling_mc, None ->
-      let est =
-        Mcsampling.monte_carlo ~obs ~trace ~seed ~jobs ~kernel g ~terminals:ts
-          ~samples
-      in
-      ("sampling-mc", SD.result_of_estimate est)
-    | Sampling_ht, None ->
-      let est =
-        Mcsampling.horvitz_thompson ~obs ~trace ~seed ~jobs ~kernel g
-          ~terminals:ts ~samples
-      in
-      ("sampling-ht", SD.result_of_estimate est)
-    | Bdd, None -> (
-      match R.exact ~extension:(not no_ext) g ~terminals:ts with
-      | Ok r -> ("bdd", SD.result_value ~value:r ~exact:true)
-      | Error (`Node_budget_exceeded n) ->
-        ( "bdd",
-          Obs.Json.Obj
-            [ ("error", Obs.Json.Str "node_budget_exceeded");
-              ("nodes", Obs.Json.Int n) ] ))
-    | Brute, None ->
-      let r = Bddbase.Bruteforce.reliability g ~terminals:ts in
-      ("brute", SD.result_value ~value:r ~exact:true)
-  in
-  let seconds = Obs.now obs -. t0 in
   let run_meta =
-    { SD.command = "estimate"; method_ = method_name; graph = name;
-      terminals = ts; seed; jobs = Par.effective_jobs jobs; samples; width }
+    { SD.command; method_ = method_name; graph = graph_name;
+      terminals = q.Engine.terminals; seed = q.Engine.seed;
+      jobs = Par.effective_jobs q.Engine.jobs; samples = q.Engine.samples;
+      width = q.Engine.width }
   in
-  let doc = SD.build ~obs ~run:run_meta ~seconds ~result in
-  print_endline (Obs.Json.to_string ~pretty:true doc)
+  SD.build ~obs ~run:run_meta ~seconds ~result
+
+(* The human-readable report, rendered from the stats document's
+   result section. *)
+let print_result method_ ~adaptive ~edges result dt =
+  let field k = Obs.Json.member k result in
+  let num k = match field k with Some (Obs.Json.Float x) -> x | _ -> nan in
+  let int k = match field k with Some (Obs.Json.Int n) -> n | _ -> 0 in
+  let exact =
+    if field "exact" = Some (Obs.Json.Bool true) then "  (exact)" else ""
+  in
+  let time = Relstats.format_seconds dt in
+  match method_ with
+  | Served _ when adaptive ->
+    Printf.printf
+      "R = %.10g%s\nci95 = [%.10g, %.10g]  (width %.4g, target %.4g)\n\
+       adaptive: %d samples in %d rounds, stop = %s\ntime: %s\n"
+      (num "value") exact (num "lower") (num "upper") (num "ci_width")
+      (num "target_width") (int "samples_used") (int "rounds")
+      (match field "stop" with Some (Obs.Json.Str s) -> s | _ -> "")
+      time
+  | Served (Engine.Pro | Engine.Pro_ht) ->
+    Printf.printf
+      "R = %.10g%s\nbounds = [%.10g, %.10g]\n\
+       budget: s = %d -> s' = %d, %d descents drawn\ntime: %s\n"
+      (num "value") exact (num "lower") (num "upper") (int "s_given")
+      (int "s_reduced") (int "samples_drawn") time
+  | Served (Engine.Sampling_mc | Engine.Sampling_ht) ->
+    Printf.printf "R = %.10g  (%d samples, %d hits)\ntime: %s\n" (num "value")
+      (int "samples_used") (int "hits") time
+  | Bdd when field "error" <> None ->
+    Printf.printf "DNF: BDD node budget exceeded at %d nodes (%s)\n"
+      (int "nodes") time
+  | Bdd -> Printf.printf "R = %.10g  (exact)\ntime: %s\n" (num "value") time
+  | Brute ->
+    Printf.printf "R = %.10g  (exhaustive over 2^%d possible graphs)\ntime: %s\n"
+      (num "value") edges time
 
 let estimate_cmd =
   let samples =
@@ -325,7 +273,7 @@ let estimate_cmd =
     let doc = "Computation method: $(b,pro) (the paper's approach, default), \
                $(b,sampling-mc), $(b,sampling-ht), $(b,bdd) (exact baseline), \
                $(b,brute) (exhaustive, tiny graphs only)." in
-    Arg.(value & opt method_conv Pro & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
+    Arg.(value & opt method_conv (Served Engine.Pro) & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
   in
   let stats_fmt =
     let doc = "Emit machine-readable per-phase run statistics instead of the \
@@ -341,16 +289,25 @@ let estimate_cmd =
       progress =
     guarded @@ fun () ->
     check_jobs jobs;
-    (match (ci_width, max_samples, method_) with
-    | Some _, _, (Bdd | Brute) ->
-      or_die
-        (Error "--ci-width applies to pro / sampling-mc / sampling-ht only")
-    | None, Some _, _ -> or_die (Error "--max-samples requires --ci-width")
-    | _ -> ());
-    let g, name = or_die (load_graph ~file ~dataset ~seed ~scale) in
+    if ci_width <> None && (method_ = Bdd || method_ = Brute) then
+      or_die (Error "--ci-width applies to pro / sampling-mc / sampling-ht only");
+    let method_ =
+      if ht && method_ = Served Engine.Pro then Served Engine.Pro_ht else method_
+    in
+    (* The shared query checks also cover the budget flags the exact
+       baselines ignore. *)
+    let q =
+      { Engine.default with Engine.samples; width; ci_width; max_samples; seed;
+        jobs; kernel }
+    in
+    Engine.validate q;
+    let g, name, digest =
+      or_die (load_graph_full ~file ~dataset ~seed ~scale)
+    in
     let ts = or_die (parse_terminals g ~terminals ~k ~seed:(seed + 17)) in
     (try Ugraph.validate_terminals g ts
      with Invalid_argument msg -> or_die (Error msg));
+    let q = { q with Engine.terminals = ts } in
     (* The trace sink is created only after every [or_die] above: those
        exit directly, while library failures below raise and unwind
        through [finalize], so an open --trace file is always written
@@ -382,76 +339,54 @@ let estimate_cmd =
             | `Jsonl -> Trace.write_jsonl oc trace)
     in
     Fun.protect ~finally:finalize @@ fun () ->
+    if stats = `None then
+      Printf.printf "graph %s: %s\nterminals: [%s]\n" name
+        (Format.asprintf "%a" Ugraph.pp_stats g)
+        (String.concat ", " (List.map string_of_int ts));
+    (* A live observer only for --stats json. It never touches random
+       streams, so the computed result is identical either way; with
+       NETREL_FAKE_CLOCK set the document is byte-stable in the seed. *)
+    let obs = if stats = `Json then Obs.create () else Obs.disabled in
+    let t0 = Obs.now obs in
+    let (method_name, result, aobs), dt =
+      Relstats.time @@ fun () ->
+      match method_ with
+      | Served m ->
+        let a =
+          Engine.query ?digest ~trace ~extension:(not no_ext)
+            (Engine.create ~obs ()) g { q with Engine.method_ = m }
+        in
+        (a.Engine.method_name, a.Engine.result, a.Engine.obs)
+      | Bdd | Brute ->
+        let module SD = Netrel.Statsdoc in
+        let emit =
+          if Trace.enabled trace then Some (Trace.counter trace) else None
+        in
+        let exact () =
+          if method_ = Brute then
+            SD.result_value ~exact:true
+              ~value:(Bddbase.Bruteforce.reliability g ~terminals:ts)
+          else
+            match R.exact ~extension:(not no_ext) g ~terminals:ts with
+            | Ok r -> SD.result_value ~value:r ~exact:true
+            | Error (`Node_budget_exceeded n) ->
+              Obs.Json.Obj
+                [ ("error", Obs.Json.Str "node_budget_exceeded");
+                  ("nodes", Obs.Json.Int n) ]
+        in
+        ( (if method_ = Bdd then "bdd" else "brute"),
+          Obs.gc_phase obs ?emit "gc" exact,
+          obs )
+    in
     match stats with
-    | `Json -> run_estimate_stats ~g ~name ~ts ~seed ~samples ~width ~ht ~no_ext
-                 ~method_ ~jobs ~kernel ~trace ~ci_width ~max_samples
+    | `Json ->
+      query_doc ~command:"estimate" ~graph_name:name q ~method_name ~obs:aobs
+        ~seconds:(Obs.now obs -. t0) result
+      |> Obs.Json.to_string ~pretty:true
+      |> print_endline
     | `None ->
-    Printf.printf "graph %s: %s\nterminals: [%s]\n" name
-      (Format.asprintf "%a" Ugraph.pp_stats g)
-      (String.concat ", " (List.map string_of_int ts));
-    match (method_, ci_width) with
-    | Pro, Some w ->
-      let estimator = if ht then S.Horvitz_thompson else S.Monte_carlo in
-      let config = { S.default_config with S.samples = samples; S.width = width;
-                     S.estimator; S.seed = seed } in
-      let r, dt =
-        Relstats.time (fun () ->
-            Adaptive.reliability ~trace ~config ~extension:(not no_ext) ~jobs
-              ?max_samples g ~terminals:ts ~ci_width:w)
-      in
-      print_adaptive r dt
-    | (Sampling_mc | Sampling_ht), Some w ->
-      let f = if method_ = Sampling_mc then Adaptive.monte_carlo
-              else Adaptive.horvitz_thompson in
-      let r, dt =
-        Relstats.time (fun () ->
-            f ~trace ~seed ~jobs ~kernel ?max_samples g ~terminals:ts
-              ~ci_width:w)
-      in
-      print_adaptive r dt
-    | (Bdd | Brute), Some _ -> assert false (* rejected above *)
-    | Pro, None ->
-      let estimator = if ht then S.Horvitz_thompson else S.Monte_carlo in
-      let config = { S.default_config with S.samples = samples; S.width = width;
-                     S.estimator; S.seed = seed } in
-      let rep, dt =
-        Relstats.time (fun () ->
-            R.estimate ~trace ~config ~extension:(not no_ext) ~jobs g
-              ~terminals:ts)
-      in
-      Printf.printf "R = %.10g%s\nbounds = [%.10g, %.10g]\n" rep.R.value
-        (if rep.R.exact then "  (exact)" else "")
-        rep.R.lower rep.R.upper;
-      Printf.printf "budget: s = %d -> s' = %d, %d descents drawn\n"
-        rep.R.s_given rep.R.s_reduced rep.R.samples_drawn;
-      Printf.printf "time: %s\n" (Relstats.format_seconds dt)
-    | (Sampling_mc | Sampling_ht), None ->
-      let f = if method_ = Sampling_mc then Mcsampling.monte_carlo
-              else Mcsampling.horvitz_thompson in
-      let est, dt =
-        Relstats.time (fun () ->
-            f ~trace ~seed ~jobs ~kernel g ~terminals:ts ~samples)
-      in
-      Printf.printf "R = %.10g  (%d samples, %d hits)\ntime: %s\n"
-        est.Mcsampling.value est.Mcsampling.samples_used est.Mcsampling.hits
-        (Relstats.format_seconds dt)
-    | Bdd, None -> (
-      let res, dt =
-        Relstats.time (fun () ->
-            R.exact ~extension:(not no_ext) g ~terminals:ts)
-      in
-      match res with
-      | Ok r -> Printf.printf "R = %.10g  (exact)\ntime: %s\n" r
-                  (Relstats.format_seconds dt)
-      | Error (`Node_budget_exceeded n) ->
-        Printf.printf "DNF: BDD node budget exceeded at %d nodes (%s)\n" n
-          (Relstats.format_seconds dt))
-    | Brute, None ->
-      let r, dt =
-        Relstats.time (fun () -> Bddbase.Bruteforce.reliability g ~terminals:ts)
-      in
-      Printf.printf "R = %.10g  (exhaustive over 2^%d possible graphs)\ntime: %s\n"
-        r (Ugraph.n_edges g) (Relstats.format_seconds dt)
+      print_result method_ ~adaptive:(ci_width <> None)
+        ~edges:(Ugraph.n_edges g) result dt
   in
   let doc = "Compute the network reliability of terminals in an uncertain graph" in
   Cmd.v (Cmd.info "estimate" ~doc)
@@ -864,17 +799,6 @@ let parse_query_line g ~defaults line =
   in
   go defaults ~has_terminals:false fields
 
-let query_doc ~command ~graph_name (q : Engine.query) (a : Engine.answer)
-    ~seconds =
-  let module SD = Netrel.Statsdoc in
-  let run_meta =
-    { SD.command; method_ = a.Engine.method_name; graph = graph_name;
-      terminals = q.Engine.terminals; seed = q.Engine.seed;
-      jobs = Par.effective_jobs q.Engine.jobs; samples = q.Engine.samples;
-      width = q.Engine.width }
-  in
-  SD.build ~obs:a.Engine.obs ~run:run_meta ~seconds ~result:a.Engine.result
-
 let batch_samples_arg =
   let doc = "Default plain-sampling budget for query lines without \
              $(b,samples=)." in
@@ -923,7 +847,9 @@ let batch_cmd =
           let seconds = Obs.now obs -. t0 in
           print_endline
             (Obs.Json.to_string ~pretty:true
-               (query_doc ~command:"batch" ~graph_name:name q a ~seconds))
+               (query_doc ~command:"batch" ~graph_name:name q
+                  ~method_name:a.Engine.method_name ~obs:a.Engine.obs ~seconds
+                  a.Engine.result))
         end)
       lines;
     (* Closing summary: the cache counters prove the amortization
@@ -973,7 +899,10 @@ let serve_cmd =
               (a, Obs.now obs -. t0)
             with
             | a, seconds ->
-              respond (query_doc ~command:"serve" ~graph_name:name q a ~seconds)
+              respond
+                (query_doc ~command:"serve" ~graph_name:name q
+                   ~method_name:a.Engine.method_name ~obs:a.Engine.obs
+                   ~seconds a.Engine.result)
             | exception (Invalid_argument msg | Failure msg) ->
               respond (Obs.Json.Obj [ ("error", Obs.Json.Str msg) ])));
           loop ()

@@ -26,6 +26,13 @@ type result = {
   estimate : Mcsampling.estimate option;
 }
 
+let result_doc r =
+  Netrel.Statsdoc.result_of_adaptive ~value:r.value ~lower:r.lower
+    ~upper:r.upper ~exact:r.exact ~ci_width:r.ci_width
+    ~target_width:r.target_width ~samples_used:r.samples_used
+    ~samples_planned:r.samples_planned ~rounds:r.rounds
+    ~stop:(stop_name r.stop)
+
 let default_max_samples = 1_000_000
 
 let validate ~ci_width ~max_samples =
@@ -194,7 +201,8 @@ let monte_carlo ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?seed ?jobs
   if List.length terminals < 2 then
     emit_result trace (finish_obs ao (trivial ~target_width:ci_width 1.))
   else begin
-    let t = MC.mc_create ~obs ~trace ?seed ?jobs ?kernel ?csr g ~terminals in
+    let csr = match csr with Some c -> c | None -> Kernel.Csr.of_graph g in
+    let t = MC.mc_create ~obs ~trace ?seed ?jobs ?kernel csr ~terminals in
     emit_result trace
       (sampler_loop ~ao ~trace ~ci_width ~max_samples
          ~draw:(fun n -> MC.mc_draw t ~samples:n)
@@ -212,7 +220,8 @@ let horvitz_thompson ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?seed
   if List.length terminals < 2 then
     emit_result trace (finish_obs ao (trivial ~target_width:ci_width 1.))
   else begin
-    let t = MC.ht_create ~obs ~trace ?seed ?jobs ?kernel ?csr g ~terminals in
+    let csr = match csr with Some c -> c | None -> Kernel.Csr.of_graph g in
+    let t = MC.ht_create ~obs ~trace ?seed ?jobs ?kernel csr ~terminals in
     (* The HT planner reads hits as round(value * samples): the HT value
        is a weighted sum, not a count, but the planner only needs a
        smoothed variance proxy. *)

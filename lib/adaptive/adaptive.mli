@@ -62,6 +62,10 @@ type result = {
       (** the final sampler estimate (MC/HT drivers only) *)
 }
 
+val result_doc : result -> Obs.Json.t
+(** The run's {!Netrel.Statsdoc.result_of_adaptive} section — the one
+    rendering the engine, the CLI and the bench documents share. *)
+
 val default_max_samples : int
 (** [1_000_000]. *)
 

@@ -17,4 +17,7 @@ let reduction_factor ~pc ~pd =
 
 let reduced ~s ~pc ~pd =
   if s < 0 then invalid_arg "Samplesize.reduced: negative s";
-  int_of_float (Float.floor (float_of_int s *. reduction_factor ~pc ~pd))
+  (* Near [max_int], [float_of_int s] rounds up to [2^62], where
+     [int_of_float] wraps to [min_int]: clamp to [s] before converting. *)
+  let r = Float.floor (float_of_int s *. reduction_factor ~pc ~pd) in
+  if r >= float_of_int s then s else int_of_float r

@@ -134,7 +134,7 @@ let csr t ctx =
 
 let terminals_key ts = String.concat "," (List.map string_of_int ts)
 
-let prep t ctx ~terminals =
+let prep t ctx ~trace ~terminals =
   let key = terminals_key terminals in
   match Hashtbl.find_opt ctx.preps key with
   | Some pe ->
@@ -143,7 +143,7 @@ let prep t ctx ~terminals =
   | None ->
     Obs.incr t.eo "prep.miss";
     let pobs = Obs.fresh_like t.obs in
-    let outcome = P.run ~obs:pobs ctx.graph ~terminals in
+    let outcome = P.run ~obs:pobs ~trace ctx.graph ~terminals in
     let orders =
       match outcome with
       | P.Trivial _ -> [||]
@@ -159,98 +159,109 @@ let prep t ctx ~terminals =
 
 (* ---- queries ---- *)
 
-let memo_key q =
-  Printf.sprintf "t=%s;m=%s;s=%d;w=%d;cw=%s;ms=%s;seed=%d;jobs=%d;k=%s"
+(* Budgets above this are refused outright: the chunk plan and the
+   per-chunk tables grow with the budget, and near [max_int] the plan's
+   ceiling division overflows. *)
+let sample_limit = 1 lsl 32
+
+(* The one query validator, ahead of the memo. [samples <= 0] is left
+   to the estimators, which raise it after preprocessing. *)
+let validate q =
+  if q.jobs < 1 then invalid_arg "Engine.query: jobs < 1";
+  let over what n =
+    if n > sample_limit then
+      invalid_arg
+        (Printf.sprintf "%s %d exceeds the limit %d" what n sample_limit)
+  in
+  (match (q.ci_width, q.max_samples) with
+  | None, Some _ -> invalid_arg "--max-samples requires --ci-width"
+  | _, Some n -> over "max-samples" n
+  | _, None -> ());
+  over "samples" q.samples
+
+let memo_key ~extension q =
+  Printf.sprintf "t=%s;m=%s;s=%d;w=%d;cw=%s;ms=%s;seed=%d;jobs=%d;k=%s;x=%b"
     (terminals_key q.terminals) (method_name q.method_) q.samples q.width
     (match q.ci_width with None -> "-" | Some w -> Printf.sprintf "%.17g" w)
     (match q.max_samples with None -> "-" | Some n -> string_of_int n)
     q.seed q.jobs
-    (match q.kernel with Mcsampling.Flat -> "flat" | Mcsampling.Bitsliced -> "bitsliced")
+    (Mcsampling.kernel_mode_name q.kernel)
+    extension
 
-(* Mirror of the CLI's method dispatch ([run_estimate_stats]): same
-   estimator entry points, same configs, same Statsdoc result shapes —
-   with the cached Csr / prep / orders slotted into the pure-reuse
-   parameters, so answers stay bit-identical to the from-scratch path. *)
-let dispatch t ctx qobs q =
-  let estimator ht = if ht then S.Horvitz_thompson else S.Monte_carlo in
-  let adaptive_doc (r : Adaptive.result) =
-    SD.result_of_adaptive ~value:r.Adaptive.value ~lower:r.Adaptive.lower
-      ~upper:r.Adaptive.upper ~exact:r.Adaptive.exact
-      ~ci_width:r.Adaptive.ci_width ~target_width:r.Adaptive.target_width
-      ~samples_used:r.Adaptive.samples_used
-      ~samples_planned:r.Adaptive.samples_planned ~rounds:r.Adaptive.rounds
-      ~stop:(Adaptive.stop_name r.Adaptive.stop)
+(* The one method dispatch: estimate, batch, serve and the bench all
+   map a query to its estimator here. The cached Csr / prep / orders
+   slot into the estimators' pure-reuse parameters, so an answer is
+   bit-identical whether its artifacts were cached or just built. *)
+let dispatch t ctx ~trace ~extension qobs q =
+  let g = ctx.graph and ts = q.terminals in
+  let name = method_name q.method_ in
+  let adaptive (r : Adaptive.result) =
+    (name, Adaptive.result_doc r, r.Adaptive.value, r.Adaptive.exact)
   in
-  let g = ctx.graph in
-  let ts = q.terminals in
-  match (q.method_, q.ci_width) with
-  | (Pro | Pro_ht), Some w ->
+  match q.method_ with
+  | Pro | Pro_ht -> (
+    let estimator =
+      if q.method_ = Pro_ht then S.Horvitz_thompson else S.Monte_carlo
+    in
     let config =
       { S.default_config with S.samples = q.samples; S.width = q.width;
-        S.estimator = estimator (q.method_ = Pro_ht); S.seed = q.seed }
+        S.estimator; S.seed = q.seed }
     in
-    let pe = prep t ctx ~terminals:ts in
-    Obs.merge ~into:qobs pe.pobs;
-    let r =
-      Adaptive.reliability ~obs:qobs ~config ~jobs:q.jobs ~prep:pe.outcome
-        ~orders:pe.orders ?max_samples:q.max_samples g ~terminals:ts
-        ~ci_width:w
+    let prep, orders =
+      if not extension then (None, None)
+      else begin
+        let pe = prep t ctx ~trace ~terminals:ts in
+        Obs.merge ~into:qobs pe.pobs;
+        (Some pe.outcome, Some pe.orders)
+      end
     in
-    (method_name q.method_, adaptive_doc r, r.Adaptive.value, r.Adaptive.exact)
-  | (Pro | Pro_ht), None ->
-    let config =
-      { S.default_config with S.samples = q.samples; S.width = q.width;
-        S.estimator = estimator (q.method_ = Pro_ht); S.seed = q.seed }
-    in
-    let pe = prep t ctx ~terminals:ts in
-    Obs.merge ~into:qobs pe.pobs;
-    let rep =
-      R.estimate ~obs:qobs ~config ~jobs:q.jobs ~prep:pe.outcome
-        ~orders:pe.orders g ~terminals:ts
-    in
-    (method_name q.method_, SD.result_of_report rep, rep.R.value, rep.R.exact)
-  | Sampling_mc, Some w ->
-    let r =
-      Adaptive.monte_carlo ~obs:qobs ~seed:q.seed ~jobs:q.jobs
-        ~kernel:q.kernel ~csr:(csr t ctx) ?max_samples:q.max_samples g
-        ~terminals:ts ~ci_width:w
-    in
-    ("sampling-mc", adaptive_doc r, r.Adaptive.value, r.Adaptive.exact)
-  | Sampling_ht, Some w ->
-    let r =
-      Adaptive.horvitz_thompson ~obs:qobs ~seed:q.seed ~jobs:q.jobs
-        ~kernel:q.kernel ~csr:(csr t ctx) ?max_samples:q.max_samples g
-        ~terminals:ts ~ci_width:w
-    in
-    ("sampling-ht", adaptive_doc r, r.Adaptive.value, r.Adaptive.exact)
-  | Sampling_mc, None ->
-    let e =
-      Mcsampling.monte_carlo ~obs:qobs ~seed:q.seed ~jobs:q.jobs
-        ~kernel:q.kernel ~csr:(csr t ctx) g ~terminals:ts ~samples:q.samples
-    in
-    ("sampling-mc", SD.result_of_estimate e, e.Mcsampling.value, false)
-  | Sampling_ht, None ->
-    let e =
-      Mcsampling.horvitz_thompson ~obs:qobs ~seed:q.seed ~jobs:q.jobs
-        ~kernel:q.kernel ~csr:(csr t ctx) g ~terminals:ts ~samples:q.samples
-    in
-    ("sampling-ht", SD.result_of_estimate e, e.Mcsampling.value, false)
+    match q.ci_width with
+    | Some w ->
+      adaptive
+        (Adaptive.reliability ~obs:qobs ~trace ~config ~extension ~jobs:q.jobs
+           ?prep ?orders ?max_samples:q.max_samples g ~terminals:ts ~ci_width:w)
+    | None ->
+      let rep =
+        R.estimate ~obs:qobs ~trace ~config ~extension ~jobs:q.jobs ?prep
+          ?orders g ~terminals:ts
+      in
+      (name, SD.result_of_report rep, rep.R.value, rep.R.exact))
+  | Sampling_mc | Sampling_ht -> (
+    let csr = csr t ctx and mc = q.method_ = Sampling_mc in
+    match q.ci_width with
+    | Some w ->
+      let run = if mc then Adaptive.monte_carlo else Adaptive.horvitz_thompson in
+      adaptive
+        (run ~obs:qobs ~trace ~seed:q.seed ~jobs:q.jobs ~kernel:q.kernel ~csr
+           ?max_samples:q.max_samples g ~terminals:ts ~ci_width:w)
+    | None ->
+      let run =
+        if mc then Mcsampling.monte_carlo else Mcsampling.horvitz_thompson
+      in
+      let e =
+        run ~obs:qobs ~trace ~seed:q.seed ~jobs:q.jobs ~kernel:q.kernel ~csr g
+          ~terminals:ts ~samples:q.samples
+      in
+      (name, SD.result_of_estimate e, e.Mcsampling.value, false))
 
-let query ?digest t g q =
+let query ?digest ?(trace = Trace.disabled) ?(extension = true) t g q =
+  validate q;
   let ctx = context ~digest t g in
   Obs.incr t.eo "queries";
-  let key = memo_key q in
+  let key = memo_key ~extension q in
   match Hashtbl.find_opt ctx.memo key with
   | Some a ->
     Obs.incr t.eo "result.hit";
     { a with cached = true }
   | None ->
     Obs.incr t.eo "result.miss";
-    if q.jobs < 1 then invalid_arg "Engine.query: jobs < 1";
     Ugraph.validate_terminals g q.terminals;
     let qobs = Obs.fresh_like t.obs in
+    (* The whole-query GC account, also streamed as trace counters. *)
+    let emit = if Trace.enabled trace then Some (Trace.counter trace) else None in
     let method_name, result, value, exact =
-      Obs.gc_phase qobs "gc" @@ fun () -> dispatch t ctx qobs q
+      Obs.gc_phase qobs ?emit "gc" @@ fun () ->
+      dispatch t ctx ~trace ~extension qobs q
     in
     let a = { method_name; result; value; exact; cached = false; obs = qobs } in
     Hashtbl.replace ctx.memo key a;

@@ -1,13 +1,15 @@
-(** Amortized multi-query reliability engine.
+(** The query path: one method dispatch plus an amortized multi-query
+    cache.
 
-    Every CLI estimate rebuilds preprocessing, the edge orderings and
-    the sampling snapshot from scratch, but the workload the paper's
-    evaluation implies (Table 5 reuses one graph across hundreds of
-    runs) is many [(terminals, eps)] queries against the {e same}
-    uncertain graph. The engine caches every artifact that is a pure
-    deterministic function of its inputs — so serving a query through
-    the engine is {b bit-identical} to computing it from scratch — and
-    memoizes full query results:
+    Every front end answers through {!query}. [netrel estimate] is a
+    one-query run on a fresh engine; [netrel batch] and [netrel serve]
+    keep one engine per session. The workload the paper's evaluation
+    implies (Table 5 reuses one graph across hundreds of runs) is many
+    [(terminals, eps)] queries against the {e same} uncertain graph.
+    So the engine caches every artifact that is a pure deterministic
+    function of its inputs, and an answer is {b bit-identical} whether
+    its artifacts were cached or just built. It also memoizes full
+    query results:
 
     {ul
     {- {b graph context} — keyed by a 62-bit content digest of the
@@ -20,7 +22,8 @@
        replayed via [?prep] / [?orders] of {!Reliability.estimate} and
        {!Adaptive.reliability};}
     {- {b results} — one full answer per distinct query signature
-       (terminals, method, budgets, seed, jobs, kernel); a repeated
+       (terminals, method, budgets, seed, jobs, kernel, and the
+       [?extension] switch of {!query}); a repeated
        query replays the stored answer and its stats verbatim;}
     {- {b client artifacts} — an untyped slot table ({!artifact}) so
        higher layers (e.g. [Uapps.Sampleset]) can share per-graph
@@ -94,17 +97,35 @@ val digest : Ugraph.t -> int
     ([Bingraph.Digest.of_graph] — the same fold the binary container
     stores in its header). *)
 
-val query : ?digest:int -> t -> Ugraph.t -> query -> answer
+val sample_limit : int
+(** [2^32]: the largest [samples] / [max_samples] a query may ask
+    for. The chunk plan and the per-chunk tables grow with the budget,
+    so larger budgets are refused rather than attempted. *)
+
+val validate : query -> unit
+(** The query checks every front end shares, run by {!query} before
+    the memo is consulted: [jobs >= 1], [max_samples] only with
+    [ci_width], and both budgets at most {!sample_limit}.
+    [samples <= 0] is left to the estimators, which raise it after
+    preprocessing. @raise Invalid_argument with the reason. *)
+
+val query :
+  ?digest:int -> ?trace:Trace.t -> ?extension:bool -> t -> Ugraph.t ->
+  query -> answer
 (** Serve one query, reusing every cached artifact for the graph. The
-    estimate is bit-identical to the standalone from-scratch run at
-    the same seed/jobs/kernel (the regression suite pins this at jobs
+    estimate is bit-identical to a direct call of the estimator at the
+    same seed/jobs/kernel (the regression suite pins this at jobs
     1/2/8). [?digest] supplies the graph's content digest when the
     caller already holds it (read from a [Bingraph] header), skipping
     the O(m) re-hash per query — counted under
     [engine.digest_from_header]. It is trusted as the cache key, so it
-    must be {!digest} of [g]. @raise Invalid_argument on invalid
-    terminals, [jobs < 1], or budgets the underlying estimator
-    rejects. *)
+    must be {!digest} of [g]. [?trace] receives the run's spans
+    (preprocessing when the prep cache misses, subproblems, chunks) and
+    the whole-query GC counter events. [?extension] (default [true])
+    set to [false] runs Pro without the extension technique and
+    bypasses the prep cache; it is a per-call switch of the CLI, not a
+    query key. @raise Invalid_argument on a query {!validate} rejects,
+    invalid terminals, or budgets the underlying estimator rejects. *)
 
 val counters : t -> (string * int) list
 (** Snapshot of the cache counters (missing ones read 0), in a fixed

@@ -45,10 +45,13 @@ type kernel_mode = Flat | Bitsliced
 
 let kernel_mode_name = function Flat -> "flat" | Bitsliced -> "bitsliced"
 
-let validate g ~terminals ~samples ~jobs =
-  Ugraph.validate_terminals g terminals;
+let validate_budgets ~samples ~jobs =
   if samples <= 0 then invalid_arg "Mcsampling: samples <= 0";
   if jobs <= 0 then invalid_arg "Mcsampling: jobs <= 0"
+
+let validate g ~terminals ~samples ~jobs =
+  Ugraph.validate_terminals g terminals;
+  validate_budgets ~samples ~jobs
 
 (* The [k < 2] answer needs no sampling, and the estimate says so:
    nothing was drawn, nothing hit, nothing deduplicated — only [value]
@@ -202,10 +205,11 @@ let mc_chunk_bitsliced ?depth csr term_arr rng len =
   done;
   !hits
 
-(* Terminal/budget validation against a Csr snapshot alone, for the
-   [_csr] entry points where no [Ugraph.t] ever exists. Mirrors
-   [Ugraph.validate_terminals] against the snapshot's vertex count. *)
-let validate_csr csr ~terminals ~samples ~jobs =
+(* Terminal validation against a Csr snapshot alone, for the [_csr]
+   entry points and the chunked samplers, where no [Ugraph.t] need
+   exist. Mirrors [Ugraph.validate_terminals] against the snapshot's
+   vertex count. *)
+let validate_csr csr ~terminals =
   let n = Kernel.Csr.n_vertices csr in
   if terminals = [] then invalid_arg "Mcsampling: empty terminal set";
   let seen = Hashtbl.create (List.length terminals) in
@@ -216,104 +220,7 @@ let validate_csr csr ~terminals ~samples ~jobs =
       if Hashtbl.mem seen t then
         invalid_arg (Printf.sprintf "Mcsampling: duplicate terminal %d" t);
       Hashtbl.add seen t ())
-    terminals;
-  if samples <= 0 then invalid_arg "Mcsampling: samples <= 0";
-  if jobs <= 0 then invalid_arg "Mcsampling: jobs <= 0"
-
-(* The non-trivial MC body, shared by the graph and csr-direct entry
-   points. The caller has validated terminals and budgets. *)
-let mc_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples =
-    Obs.time o "total" @@ fun () ->
-    let term_arr = Array.of_list terminals in
-    let chunks =
-      Par.chunks ~total:samples
-        ~target:(chunk_target_for ~edges:(Kernel.Csr.n_edges csr))
-    in
-    let rngs = chunk_streams ~seed (Array.length chunks) in
-    let lanes = Par.effective_jobs jobs in
-    let t_kernel = Obs.now obs in
-    let chunk_hits =
-      Par.run_jobs ~jobs (Array.length chunks) (fun i ->
-          let tr = Trace.task trace ~lane:(i mod lanes) in
-          let ts = Trace.now tr in
-          let t0 = Obs.now obs in
-          let depth = chunk_depth o in
-          let g0 = chunk_gc_begin o in
-          let _, len = chunks.(i) in
-          let rng = rngs.(i) in
-          let hits =
-            match kernel with
-            | Flat -> mc_chunk_flat ?depth csr term_arr rng len
-            | Bitsliced -> mc_chunk_bitsliced ?depth csr term_arr rng len
-          in
-          Trace.complete tr ~ts "mc.chunk"
-            ~args:
-              [ ("chunk", Int i); ("samples", Int len); ("hits", Int hits) ];
-          (hits, Obs.now obs -. t0, depth, chunk_gc_end g0, tr))
-    in
-    let kernel_secs = Obs.now obs -. t_kernel in
-    (* Ordered reduction: integer hits fold in chunk order (associative
-       here, but the convention keeps every reducer shape-identical);
-       per-task trace buffers fold back in the same order. *)
-    let hits =
-      Array.fold_left
-        (fun acc (h, dt, depth, gd, tr) ->
-          chunk_obs o dt depth gd;
-          Trace.merge ~into:trace tr;
-          acc + h)
-        0 chunk_hits
-    in
-    let value = float_of_int hits /. float_of_int samples in
-    Obs.add o "samples" samples;
-    Obs.add o "hits" hits;
-    Obs.add o "connectivity_checks" samples;
-    Obs.add o "kernel.samples" samples;
-    Obs.record_span o "kernel.elapsed" kernel_secs;
-    let variance_estimate = value *. (1. -. value) /. float_of_int samples in
-    Obs.gauge o "wald_variance" variance_estimate;
-    emit_estimate trace
-      {
-        value;
-        samples_used = samples;
-        hits;
-        distinct = 0;
-        variance_estimate;
-        jobs_used = Par.effective_jobs jobs;
-        chunk_samples = Array.map snd chunks;
-      }
-
-(* [?csr] lets a caller holding a prebuilt snapshot (the engine's
-   per-graph cache) skip reconstruction. The Csr is a pure function of
-   [g], so a cached snapshot cannot change any estimate. *)
-let monte_carlo ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
-    ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals ~samples =
-  validate g ~terminals ~samples ~jobs;
-  let o = Obs.sub obs "sampling" in
-  Obs.text o "estimator" "mc";
-  Obs.text o "kernel.mode" (kernel_mode_name kernel);
-  if List.length terminals < 2 then begin
-    Obs.incr o "trivial";
-    emit_estimate trace (trivial_estimate ~jobs 1.)
-  end
-  else
-    let csr = match csr with Some c -> c | None -> Kernel.Csr.of_graph g in
-    mc_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples
-
-(* Csr-direct entry point: sample a snapshot that never had a Ugraph.t
-   behind it (mmap'd binary graphs via Kernel.Csr.of_arrays). For a
-   snapshot built by Kernel.Csr.of_graph the result is bit-identical
-   to [monte_carlo] — same chunk layout, same streams. *)
-let monte_carlo_csr ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
-    ?(jobs = 1) ?(kernel = Flat) csr ~terminals ~samples =
-  validate_csr csr ~terminals ~samples ~jobs;
-  let o = Obs.sub obs "sampling" in
-  Obs.text o "estimator" "mc";
-  Obs.text o "kernel.mode" (kernel_mode_name kernel);
-  if List.length terminals < 2 then begin
-    Obs.incr o "trivial";
-    emit_estimate trace (trivial_estimate ~jobs 1.)
-  end
-  else mc_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples
+    terminals
 
 (* HT stage-1 bodies: dedup a chunk's draws into (hash -> entry) plus
    the first-occurrence order. Both kernels produce the same tuple
@@ -364,162 +271,6 @@ let ht_chunk_bitsliced ?depth csr term_arr rng len =
     remaining := !remaining - batch
   done;
   (seen, order, !n_order)
-
-(* The non-trivial HT body, shared by the graph and csr-direct entry
-   points. The caller has validated terminals and budgets. *)
-let ht_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples =
-    Obs.time o "total" @@ fun () ->
-    let term_arr = Array.of_list terminals in
-    let chunks =
-      Par.chunks ~total:samples
-        ~target:(chunk_target_for ~edges:(Kernel.Csr.n_edges csr))
-    in
-    let rngs = chunk_streams ~seed (Array.length chunks) in
-    let lanes = Par.effective_jobs jobs in
-    (* Stage 1 (parallel): each chunk dedups its own draws. A chunk's
-       table records hash -> (probability, connected) for the chunk's
-       distinct masks (sized by the chunk length — the only masks it
-       can hold), plus the first-occurrence order in a flat array so
-       the merge below is deterministic by construction rather than by
-       hash-table layout. Connectivity runs once per chunk-distinct
-       mask. *)
-    let t_kernel = Obs.now obs in
-    let chunk_tables =
-      Par.run_jobs ~jobs (Array.length chunks) (fun i ->
-          let tr = Trace.task trace ~lane:(i mod lanes) in
-          let ts = Trace.now tr in
-          let t0 = Obs.now obs in
-          let depth = chunk_depth o in
-          let g0 = chunk_gc_begin o in
-          let _, len = chunks.(i) in
-          let rng = rngs.(i) in
-          let seen, order, n_order =
-            match kernel with
-            | Flat -> ht_chunk_flat ?depth csr term_arr rng len
-            | Bitsliced -> ht_chunk_bitsliced ?depth csr term_arr rng len
-          in
-          Trace.complete tr ~ts "ht.chunk"
-            ~args:
-              [
-                ("chunk", Int i);
-                ("samples", Int len);
-                ("unique", Int (Hashtbl.length seen));
-                ("drawn", Int len);
-              ];
-          (seen, order, n_order, Obs.now obs -. t0, depth, chunk_gc_end g0, tr))
-    in
-    let kernel_secs = Obs.now obs -. t_kernel in
-    (* Stage 2 (ordered reduction): merge the per-chunk tables in chunk
-       order, keeping the first occurrence of every hash — exactly what
-       a sequential single pass over all samples would keep, since
-       chunk order is sample order. The surviving entries, enumerated
-       in global first-occurrence order, drive the pi-weighted sum, so
-       the float accumulation order is fixed. The sum of per-chunk
-       distinct counts bounds the merged count, so one exact-capacity
-       array (cursor-filled) replaces the old list accumulator, and the
-       dedup table is sized by that bound instead of [samples]. *)
-    let entries, n_entries =
-      Trace.span trace "ht.merge" @@ fun () ->
-      Obs.time o "merge" @@ fun () ->
-      let bound =
-        Array.fold_left
-          (fun acc (_, _, n_order, _, _, _, _) -> acc + n_order)
-          0 chunk_tables
-      in
-      let merged : (int, unit) Hashtbl.t = Hashtbl.create bound in
-      let entries = Array.make (max bound 1) (Xprob.one, false) in
-      let cursor = ref 0 in
-      Array.iter
-        (fun (tab, order, n_order, dt, depth, gd, tr) ->
-          chunk_obs o dt depth gd;
-          Obs.hist o "hist.dedup_occupancy" n_order;
-          Trace.merge ~into:trace tr;
-          for j = 0 to n_order - 1 do
-            let h = order.(j) in
-            if not (Hashtbl.mem merged h) then begin
-              Hashtbl.add merged h ();
-              entries.(!cursor) <- Hashtbl.find tab h;
-              incr cursor
-            end
-          done)
-        chunk_tables;
-      (entries, !cursor)
-    in
-    (* One pass over the merged entries with one accumulator per
-       quantity: each accumulator folds in entry order, so the float
-       accumulation matches the former three-fold formulation
-       bit-for-bit. The correction is the Equation-(8) term subtracting
-       the squared sample probabilities of connected samples. *)
-    let s_f = float_of_int samples in
-    let hits = ref 0 in
-    let value = ref 0. in
-    let correction = ref 0. in
-    for j = 0 to n_entries - 1 do
-      let q, connected = entries.(j) in
-      if connected then begin
-        incr hits;
-        value := !value +. ht_weight_x q samples;
-        correction :=
-          !correction +. ((s_f -. 1.) *. Xprob.to_float_approx (Xprob.mul q q))
-      end
-    done;
-    let hits = !hits and value = !value and correction = !correction in
-    let v = (value *. (1. -. value) /. s_f) -. (correction /. (2. *. s_f)) in
-    (* The plug-in can go negative (the correction is only an estimate
-       of the covariance term); the clamp below keeps the reported
-       variance usable, but the event itself is worth knowing about —
-       a clamped variance means the 95% CI the estimate carries has
-       degenerated to a point. *)
-    if v < 0. then begin
-      Obs.incr o "variance_clamped";
-      Obs.gauge o "raw_variance" v
-    end;
-    let distinct = n_entries in
-    Obs.add o "samples" samples;
-    Obs.add o "hits" hits;
-    Obs.add o "distinct" distinct;
-    Obs.add o "connectivity_checks" distinct;
-    Obs.gauge o "dedup_ratio" (float_of_int distinct /. float_of_int samples);
-    Obs.add o "kernel.samples" samples;
-    Obs.record_span o "kernel.elapsed" kernel_secs;
-    Obs.gauge o "wald_variance" (Float.max 0. v);
-    emit_estimate trace
-      {
-        value;
-        samples_used = samples;
-        hits;
-        distinct;
-        variance_estimate = Float.max 0. v;
-        jobs_used = Par.effective_jobs jobs;
-        chunk_samples = Array.map snd chunks;
-      }
-
-let horvitz_thompson ?(obs = Obs.disabled) ?(trace = Trace.disabled)
-    ?(seed = 1) ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals ~samples =
-  validate g ~terminals ~samples ~jobs;
-  let o = Obs.sub obs "sampling" in
-  Obs.text o "estimator" "ht";
-  Obs.text o "kernel.mode" (kernel_mode_name kernel);
-  if List.length terminals < 2 then begin
-    Obs.incr o "trivial";
-    emit_estimate trace (trivial_estimate ~jobs 1.)
-  end
-  else
-    let csr = match csr with Some c -> c | None -> Kernel.Csr.of_graph g in
-    ht_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples
-
-(* Csr-direct HT twin of [monte_carlo_csr]. *)
-let horvitz_thompson_csr ?(obs = Obs.disabled) ?(trace = Trace.disabled)
-    ?(seed = 1) ?(jobs = 1) ?(kernel = Flat) csr ~terminals ~samples =
-  validate_csr csr ~terminals ~samples ~jobs;
-  let o = Obs.sub obs "sampling" in
-  Obs.text o "estimator" "ht";
-  Obs.text o "kernel.mode" (kernel_mode_name kernel);
-  if List.length terminals < 2 then begin
-    Obs.incr o "trivial";
-    emit_estimate trace (trivial_estimate ~jobs 1.)
-  end
-  else ht_sampled ~obs ~o ~trace ~seed ~jobs ~kernel csr ~terminals ~samples
 
 (* ------------------------------------------------------------------ *)
 (* Retained reference implementation                                   *)
@@ -654,7 +405,7 @@ module Reference = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Incremental chunked drawing (sequential stopping)                    *)
+(* Chunked drawing: the one sampling driver                             *)
 (* ------------------------------------------------------------------ *)
 
 (* The adaptive driver (lib/adaptive) draws rounds of samples until a
@@ -668,251 +419,220 @@ end
    [(seed, round schedule)], and since the schedule is itself a
    deterministic function of the observed hit counts, from [(seed,
    ci_width, max_samples)] alone; [jobs] only places chunks on domains
-   and never affects which streams exist or the fold order. *)
+   and never affects which streams exist or the fold order. A fixed
+   budget is the one-round schedule (see [monte_carlo] below). *)
 module Chunked = struct
-  type mc = {
-    mc_csr : Kernel.Csr.t;
-    mc_terms : int array;
-    mc_kernel : kernel_mode;
-    mc_master : Prng.t;
-    mc_jobs : int;
-    mc_obs : Obs.t;
-    mc_trace : Trace.t;
-    mutable mc_samples : int;
-    mutable mc_hits : int;
-    mutable mc_chunks : int;
-    mutable mc_schedule : int list; (* chunk lengths, most recent first *)
+  (* What both samplers carry: the snapshot and terminals they draw
+     against, the retained master generator, and the chunk schedule so
+     far. [obs] is already the ["sampling"] sub-observer. *)
+  type common = {
+    csr : Kernel.Csr.t;
+    terms : int array;
+    kernel : kernel_mode;
+    master : Prng.t;
+    jobs : int;
+    obs : Obs.t;
+    trace : Trace.t;
+    mutable samples : int;
+    mutable chunks : int;
+    mutable schedule : int list; (* chunk lengths, most recent first *)
   }
 
-  let create_common ~obs ~kernel ~estimator g ~terminals ~jobs =
-    Ugraph.validate_terminals g terminals;
+  let create_common ~obs ~trace ~seed ~jobs ~kernel ~estimator csr ~terminals =
+    validate_csr csr ~terminals;
     if jobs <= 0 then invalid_arg "Mcsampling.Chunked: jobs <= 0";
     if List.length terminals < 2 then
       invalid_arg "Mcsampling.Chunked: fewer than 2 terminals (trivial case)";
     let o = Obs.sub obs "sampling" in
     Obs.text o "estimator" estimator;
     Obs.text o "kernel.mode" (kernel_mode_name kernel);
-    o
-
-  let mc_create ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
-      ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals =
-    let o = create_common ~obs ~kernel ~estimator:"mc" g ~terminals ~jobs in
     {
-      mc_csr = (match csr with Some c -> c | None -> Kernel.Csr.of_graph g);
-      mc_terms = Array.of_list terminals;
-      mc_kernel = kernel;
-      mc_master = Prng.create seed;
-      mc_jobs = jobs;
-      mc_obs = o;
-      mc_trace = trace;
-      mc_samples = 0;
-      mc_hits = 0;
-      mc_chunks = 0;
-      mc_schedule = [];
+      csr;
+      terms = Array.of_list terminals;
+      kernel;
+      master = Prng.create seed;
+      jobs;
+      obs = o;
+      trace;
+      samples = 0;
+      chunks = 0;
+      schedule = [];
     }
 
   (* One round: split the new chunks' streams off the retained master
-     (in chunk order, before any chunk runs), dispatch on the pool, and
-     fold hits in chunk order — the same shape as the fixed-budget
-     sampler, just resumable. *)
-  let mc_draw t ~samples =
-    if samples <= 0 then invalid_arg "Mcsampling.Chunked.mc_draw: samples <= 0";
+     (in chunk order, before any chunk runs), run [body depth rng len]
+     per chunk on the pool, and fold each chunk's instrumentation and
+     trace buffer back in chunk order. [body] returns the chunk's
+     result and the [span] args that follow [chunk]/[samples]. *)
+  let round c ~span ~samples body =
     let chunks =
       Par.chunks ~total:samples
-        ~target:(chunk_target_for ~edges:(Kernel.Csr.n_edges t.mc_csr))
+        ~target:(chunk_target_for ~edges:(Kernel.Csr.n_edges c.csr))
     in
     let n = Array.length chunks in
-    let rngs = Array.init n (fun _ -> Prng.split t.mc_master) in
-    let lanes = Par.effective_jobs t.mc_jobs in
-    let base = t.mc_chunks in
-    let t_kernel = Obs.now t.mc_obs in
-    let chunk_hits =
-      Par.run_jobs ~jobs:t.mc_jobs n (fun i ->
-          let tr = Trace.task t.mc_trace ~lane:(i mod lanes) in
+    let rngs = Array.init n (fun _ -> Prng.split c.master) in
+    let lanes = Par.effective_jobs c.jobs in
+    let base = c.chunks in
+    let t_kernel = Obs.now c.obs in
+    let results =
+      Par.run_jobs ~jobs:c.jobs n (fun i ->
+          let tr = Trace.task c.trace ~lane:(i mod lanes) in
           let ts = Trace.now tr in
-          let t0 = Obs.now t.mc_obs in
-          let depth = chunk_depth t.mc_obs in
-          let g0 = chunk_gc_begin t.mc_obs in
+          let t0 = Obs.now c.obs in
+          let depth = chunk_depth c.obs in
+          let g0 = chunk_gc_begin c.obs in
           let _, len = chunks.(i) in
-          let rng = rngs.(i) in
-          let hits =
-            match t.mc_kernel with
-            | Flat -> mc_chunk_flat ?depth t.mc_csr t.mc_terms rng len
-            | Bitsliced -> mc_chunk_bitsliced ?depth t.mc_csr t.mc_terms rng len
-          in
-          Trace.complete tr ~ts "mc.chunk"
-            ~args:
-              [
-                ("chunk", Int (base + i));
-                ("samples", Int len);
-                ("hits", Int hits);
-              ];
-          (hits, Obs.now t.mc_obs -. t0, depth, chunk_gc_end g0, tr))
+          let r, args = body depth rngs.(i) len in
+          Trace.complete tr ~ts span
+            ~args:(("chunk", Trace.Int (base + i)) :: ("samples", Trace.Int len) :: args);
+          (r, Obs.now c.obs -. t0, depth, chunk_gc_end g0, tr))
     in
-    Obs.record_span t.mc_obs "kernel.elapsed" (Obs.now t.mc_obs -. t_kernel);
-    let hits =
-      Array.fold_left
-        (fun acc (h, dt, depth, gd, tr) ->
-          chunk_obs t.mc_obs dt depth gd;
-          Trace.merge ~into:t.mc_trace tr;
-          acc + h)
-        0 chunk_hits
-    in
-    t.mc_samples <- t.mc_samples + samples;
-    t.mc_hits <- t.mc_hits + hits;
-    t.mc_chunks <- t.mc_chunks + n;
-    Array.iter (fun (_, len) -> t.mc_schedule <- len :: t.mc_schedule) chunks;
-    Obs.add t.mc_obs "samples" samples;
-    Obs.add t.mc_obs "hits" hits;
-    Obs.add t.mc_obs "connectivity_checks" samples;
-    Obs.add t.mc_obs "kernel.samples" samples
+    Obs.record_span c.obs "kernel.elapsed" (Obs.now c.obs -. t_kernel);
+    c.samples <- c.samples + samples;
+    c.chunks <- c.chunks + n;
+    Array.iter (fun (_, len) -> c.schedule <- len :: c.schedule) chunks;
+    Obs.add c.obs "samples" samples;
+    Obs.add c.obs "kernel.samples" samples;
+    Array.map
+      (fun (r, dt, depth, gd, tr) ->
+        chunk_obs c.obs dt depth gd;
+        Trace.merge ~into:c.trace tr;
+        r)
+      results
 
-  let mc_samples t = t.mc_samples
-  let mc_hits t = t.mc_hits
-
-  let mc_estimate t =
-    if t.mc_samples = 0 then
-      invalid_arg "Mcsampling.Chunked.mc_estimate: no samples drawn";
-    let value = float_of_int t.mc_hits /. float_of_int t.mc_samples in
-    let variance_estimate =
-      value *. (1. -. value) /. float_of_int t.mc_samples
-    in
-    Obs.gauge t.mc_obs "wald_variance" variance_estimate;
-    emit_estimate t.mc_trace
+  let estimate_of c ~value ~hits ~distinct ~variance_estimate =
+    emit_estimate c.trace
       {
         value;
-        samples_used = t.mc_samples;
-        hits = t.mc_hits;
-        distinct = 0;
+        samples_used = c.samples;
+        hits;
+        distinct;
         variance_estimate;
-        jobs_used = Par.effective_jobs t.mc_jobs;
-        chunk_samples = Array.of_list (List.rev t.mc_schedule);
+        jobs_used = Par.effective_jobs c.jobs;
+        chunk_samples = Array.of_list (List.rev c.schedule);
       }
 
+  type mc = { mc : common; mutable hits : int }
+
+  let mc_create ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
+      ?(jobs = 1) ?(kernel = Flat) csr ~terminals =
+    {
+      mc = create_common ~obs ~trace ~seed ~jobs ~kernel ~estimator:"mc" csr ~terminals;
+      hits = 0;
+    }
+
+  let mc_draw t ~samples =
+    if samples <= 0 then invalid_arg "Mcsampling.Chunked.mc_draw: samples <= 0";
+    let c = t.mc in
+    let chunk_hits =
+      round c ~span:"mc.chunk" ~samples (fun depth rng len ->
+          let hits =
+            match c.kernel with
+            | Flat -> mc_chunk_flat ?depth c.csr c.terms rng len
+            | Bitsliced -> mc_chunk_bitsliced ?depth c.csr c.terms rng len
+          in
+          (hits, [ ("hits", Trace.Int hits) ]))
+    in
+    (* Integer hits fold in chunk order (associative here, but the
+       convention keeps every reducer shape-identical). *)
+    let hits = Array.fold_left ( + ) 0 chunk_hits in
+    t.hits <- t.hits + hits;
+    Obs.add c.obs "hits" hits;
+    Obs.add c.obs "connectivity_checks" samples
+
+  let mc_samples t = t.mc.samples
+  let mc_hits t = t.hits
+
+  let mc_estimate t =
+    let c = t.mc in
+    if c.samples = 0 then
+      invalid_arg "Mcsampling.Chunked.mc_estimate: no samples drawn";
+    let value = float_of_int t.hits /. float_of_int c.samples in
+    let variance_estimate = value *. (1. -. value) /. float_of_int c.samples in
+    Obs.gauge c.obs "wald_variance" variance_estimate;
+    estimate_of c ~value ~hits:t.hits ~distinct:0 ~variance_estimate
+
   (* HT weights depend on the final total n (pi = 1 - (1-q)^n), so the
-     incremental sampler keeps every chunk's dedup table and replays
-     the ordered merge and the weighted fold at each [ht_estimate] —
-     the merge result for the chunks drawn so far is exactly what the
-     fixed-budget sampler would have computed for that total. *)
+     sampler keeps every chunk's dedup table (hash -> (probability,
+     connected) for the chunk's distinct masks, plus the
+     first-occurrence order in a flat array, so the merge is
+     deterministic by construction rather than by hash-table layout)
+     and replays the ordered merge and the weighted fold at each
+     [ht_estimate]. *)
   type ht_chunk = {
-    hc_tab : (int, Xprob.t * bool) Hashtbl.t;
-    hc_order : int array;
-    hc_n_order : int;
+    tab : (int, Xprob.t * bool) Hashtbl.t;
+    order : int array;
+    n_order : int;
   }
 
-  type ht = {
-    ht_csr : Kernel.Csr.t;
-    ht_terms : int array;
-    ht_kernel : kernel_mode;
-    ht_master : Prng.t;
-    ht_jobs : int;
-    ht_obs : Obs.t;
-    ht_trace : Trace.t;
-    mutable ht_samples : int;
-    mutable ht_chunks : int;
-    mutable ht_tables : ht_chunk list; (* most recent first *)
-    mutable ht_schedule : int list;
-  }
+  type ht = { ht : common; mutable tables : ht_chunk list (* most recent first *) }
 
   let ht_create ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
-      ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals =
-    let o = create_common ~obs ~kernel ~estimator:"ht" g ~terminals ~jobs in
+      ?(jobs = 1) ?(kernel = Flat) csr ~terminals =
     {
-      ht_csr = (match csr with Some c -> c | None -> Kernel.Csr.of_graph g);
-      ht_terms = Array.of_list terminals;
-      ht_kernel = kernel;
-      ht_master = Prng.create seed;
-      ht_jobs = jobs;
-      ht_obs = o;
-      ht_trace = trace;
-      ht_samples = 0;
-      ht_chunks = 0;
-      ht_tables = [];
-      ht_schedule = [];
+      ht = create_common ~obs ~trace ~seed ~jobs ~kernel ~estimator:"ht" csr ~terminals;
+      tables = [];
     }
 
   let ht_draw t ~samples =
     if samples <= 0 then invalid_arg "Mcsampling.Chunked.ht_draw: samples <= 0";
-    let chunks =
-      Par.chunks ~total:samples
-        ~target:(chunk_target_for ~edges:(Kernel.Csr.n_edges t.ht_csr))
-    in
-    let n = Array.length chunks in
-    let rngs = Array.init n (fun _ -> Prng.split t.ht_master) in
-    let lanes = Par.effective_jobs t.ht_jobs in
-    let base = t.ht_chunks in
-    let t_kernel = Obs.now t.ht_obs in
-    let chunk_tables =
-      Par.run_jobs ~jobs:t.ht_jobs n (fun i ->
-          let tr = Trace.task t.ht_trace ~lane:(i mod lanes) in
-          let ts = Trace.now tr in
-          let t0 = Obs.now t.ht_obs in
-          let depth = chunk_depth t.ht_obs in
-          let g0 = chunk_gc_begin t.ht_obs in
-          let _, len = chunks.(i) in
-          let rng = rngs.(i) in
-          let seen, order, n_order =
-            match t.ht_kernel with
-            | Flat -> ht_chunk_flat ?depth t.ht_csr t.ht_terms rng len
-            | Bitsliced -> ht_chunk_bitsliced ?depth t.ht_csr t.ht_terms rng len
+    let c = t.ht in
+    let tables =
+      round c ~span:"ht.chunk" ~samples (fun depth rng len ->
+          let tab, order, n_order =
+            match c.kernel with
+            | Flat -> ht_chunk_flat ?depth c.csr c.terms rng len
+            | Bitsliced -> ht_chunk_bitsliced ?depth c.csr c.terms rng len
           in
-          Trace.complete tr ~ts "ht.chunk"
-            ~args:
-              [
-                ("chunk", Int (base + i));
-                ("samples", Int len);
-                ("unique", Int (Hashtbl.length seen));
-                ("drawn", Int len);
-              ];
-          ( { hc_tab = seen; hc_order = order; hc_n_order = n_order },
-            Obs.now t.ht_obs -. t0,
-            depth,
-            chunk_gc_end g0,
-            tr ))
+          ( { tab; order; n_order },
+            [ ("unique", Trace.Int (Hashtbl.length tab)); ("drawn", Trace.Int len) ] ))
     in
-    Obs.record_span t.ht_obs "kernel.elapsed" (Obs.now t.ht_obs -. t_kernel);
     Array.iter
-      (fun (hc, dt, depth, gd, tr) ->
-        chunk_obs t.ht_obs dt depth gd;
-        Obs.hist t.ht_obs "hist.dedup_occupancy" hc.hc_n_order;
-        Trace.merge ~into:t.ht_trace tr;
-        t.ht_tables <- hc :: t.ht_tables)
-      chunk_tables;
-    t.ht_samples <- t.ht_samples + samples;
-    t.ht_chunks <- t.ht_chunks + n;
-    Array.iter (fun (_, len) -> t.ht_schedule <- len :: t.ht_schedule) chunks;
-    Obs.add t.ht_obs "samples" samples;
-    Obs.add t.ht_obs "kernel.samples" samples
+      (fun hc ->
+        Obs.hist c.obs "hist.dedup_occupancy" hc.n_order;
+        t.tables <- hc :: t.tables)
+      tables
 
-  let ht_samples t = t.ht_samples
+  let ht_samples t = t.ht.samples
 
   let ht_estimate t =
-    if t.ht_samples = 0 then
+    let c = t.ht in
+    if c.samples = 0 then
       invalid_arg "Mcsampling.Chunked.ht_estimate: no samples drawn";
-    let samples = t.ht_samples in
-    let tables = List.rev t.ht_tables in
+    let samples = c.samples in
+    let tables = List.rev t.tables in
+    (* Ordered reduction: merge the per-chunk tables in chunk order,
+       keeping the first occurrence of every hash — exactly what a
+       sequential single pass over all samples would keep, since chunk
+       order is sample order. The surviving entries, enumerated in
+       global first-occurrence order, drive the pi-weighted sum, so the
+       float accumulation order is fixed. The sum of per-chunk distinct
+       counts bounds the merged count, so one exact-capacity array
+       (cursor-filled) holds the entries and sizes the dedup table. *)
     let entries, n_entries =
-      Trace.span t.ht_trace "ht.merge" @@ fun () ->
-      Obs.time t.ht_obs "merge" @@ fun () ->
-      let bound =
-        List.fold_left (fun acc hc -> acc + hc.hc_n_order) 0 tables
-      in
+      Trace.span c.trace "ht.merge" @@ fun () ->
+      Obs.time c.obs "merge" @@ fun () ->
+      let bound = List.fold_left (fun acc hc -> acc + hc.n_order) 0 tables in
       let merged : (int, unit) Hashtbl.t = Hashtbl.create bound in
       let entries = Array.make (max bound 1) (Xprob.one, false) in
       let cursor = ref 0 in
       List.iter
         (fun hc ->
-          for j = 0 to hc.hc_n_order - 1 do
-            let h = hc.hc_order.(j) in
+          for j = 0 to hc.n_order - 1 do
+            let h = hc.order.(j) in
             if not (Hashtbl.mem merged h) then begin
               Hashtbl.add merged h ();
-              entries.(!cursor) <- Hashtbl.find hc.hc_tab h;
+              entries.(!cursor) <- Hashtbl.find hc.tab h;
               incr cursor
             end
           done)
         tables;
       (entries, !cursor)
     in
+    (* One pass over the merged entries with one accumulator per
+       quantity, each folding in entry order. The correction is the
+       Equation-(8) term subtracting the squared sample probabilities
+       of connected samples. *)
     let s_f = float_of_int samples in
     let hits = ref 0 in
     let value = ref 0. in
@@ -928,20 +648,91 @@ module Chunked = struct
     done;
     let hits = !hits and value = !value and correction = !correction in
     let v = (value *. (1. -. value) /. s_f) -. (correction /. (2. *. s_f)) in
+    (* The plug-in can go negative (the correction is only an estimate
+       of the covariance term); the clamp keeps the reported variance
+       usable, but the event itself is worth knowing about — a clamped
+       variance means the Wald interval has degenerated to a point. *)
     if v < 0. then begin
-      Obs.incr t.ht_obs "variance_clamped";
-      Obs.gauge t.ht_obs "raw_variance" v
+      Obs.incr c.obs "variance_clamped";
+      Obs.gauge c.obs "raw_variance" v
     end;
-    Obs.gauge t.ht_obs "dedup_ratio" (float_of_int n_entries /. s_f);
-    Obs.gauge t.ht_obs "wald_variance" (Float.max 0. v);
-    emit_estimate t.ht_trace
-      {
-        value;
-        samples_used = samples;
-        hits;
-        distinct = n_entries;
-        variance_estimate = Float.max 0. v;
-        jobs_used = Par.effective_jobs t.ht_jobs;
-        chunk_samples = Array.of_list (List.rev t.ht_schedule);
-      }
+    Obs.gauge c.obs "dedup_ratio" (float_of_int n_entries /. s_f);
+    Obs.gauge c.obs "wald_variance" (Float.max 0. v);
+    estimate_of c ~value ~hits ~distinct:n_entries
+      ~variance_estimate:(Float.max 0. v)
 end
+
+(* ------------------------------------------------------------------ *)
+(* Fixed budgets: one round of the chunked driver                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A fixed budget of [samples] is the one-round [Chunked] schedule: the
+   round's [Par.chunks] plan is the balanced partition of [samples] and
+   its streams are the master generator's first splits in chunk order,
+   so the estimate is bit-identical at every [jobs] value exactly as an
+   adaptive round is. The wrapper answers the trivial [k < 2] case
+   without sampling and adds the whole-run account that the adaptive
+   driver does not want per round: the [total] timer and, for HT, the
+   final hit/distinct/connectivity counters. [csr] is forced only when
+   sampling happens. *)
+let fixed_budget ~estimator ~obs ~trace ~jobs ~kernel ~terminals csr run =
+  let o = Obs.sub obs "sampling" in
+  if List.length terminals < 2 then begin
+    Obs.text o "estimator" estimator;
+    Obs.text o "kernel.mode" (kernel_mode_name kernel);
+    Obs.incr o "trivial";
+    emit_estimate trace (trivial_estimate ~jobs 1.)
+  end
+  else
+    let csr = csr () in
+    Obs.time o "total" (fun () -> run o csr)
+
+let mc_fixed ~obs ~trace ~seed ~jobs ~kernel ~terminals ~samples csr =
+  fixed_budget ~estimator:"mc" ~obs ~trace ~jobs ~kernel ~terminals csr
+    (fun _ csr ->
+      let t = Chunked.mc_create ~obs ~trace ~seed ~jobs ~kernel csr ~terminals in
+      Chunked.mc_draw t ~samples;
+      Chunked.mc_estimate t)
+
+let ht_fixed ~obs ~trace ~seed ~jobs ~kernel ~terminals ~samples csr =
+  fixed_budget ~estimator:"ht" ~obs ~trace ~jobs ~kernel ~terminals csr
+    (fun o csr ->
+      let t = Chunked.ht_create ~obs ~trace ~seed ~jobs ~kernel csr ~terminals in
+      Chunked.ht_draw t ~samples;
+      let e = Chunked.ht_estimate t in
+      Obs.add o "hits" e.hits;
+      Obs.add o "distinct" e.distinct;
+      Obs.add o "connectivity_checks" e.distinct;
+      e)
+
+(* [?csr] lets a caller holding a prebuilt snapshot (the engine's
+   per-graph cache) skip reconstruction. The Csr is a pure function of
+   [g], so a cached snapshot cannot change any estimate. *)
+let graph_csr ?csr g () =
+  match csr with Some c -> c | None -> Kernel.Csr.of_graph g
+
+let monte_carlo ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
+    ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals ~samples =
+  validate g ~terminals ~samples ~jobs;
+  mc_fixed ~obs ~trace ~seed ~jobs ~kernel ~terminals ~samples (graph_csr ?csr g)
+
+let horvitz_thompson ?(obs = Obs.disabled) ?(trace = Trace.disabled)
+    ?(seed = 1) ?(jobs = 1) ?(kernel = Flat) ?csr g ~terminals ~samples =
+  validate g ~terminals ~samples ~jobs;
+  ht_fixed ~obs ~trace ~seed ~jobs ~kernel ~terminals ~samples (graph_csr ?csr g)
+
+(* Csr-direct entry points: sample a snapshot that never had a Ugraph.t
+   behind it (mmap'd binary graphs via Kernel.Csr.of_arrays). For a
+   snapshot built by Kernel.Csr.of_graph the result is bit-identical
+   to the graph entry points — same chunk layout, same streams. *)
+let monte_carlo_csr ?(obs = Obs.disabled) ?(trace = Trace.disabled) ?(seed = 1)
+    ?(jobs = 1) ?(kernel = Flat) csr ~terminals ~samples =
+  validate_csr csr ~terminals;
+  validate_budgets ~samples ~jobs;
+  mc_fixed ~obs ~trace ~seed ~jobs ~kernel ~terminals ~samples (fun () -> csr)
+
+let horvitz_thompson_csr ?(obs = Obs.disabled) ?(trace = Trace.disabled)
+    ?(seed = 1) ?(jobs = 1) ?(kernel = Flat) csr ~terminals ~samples =
+  validate_csr csr ~terminals;
+  validate_budgets ~samples ~jobs;
+  ht_fixed ~obs ~trace ~seed ~jobs ~kernel ~terminals ~samples (fun () -> csr)

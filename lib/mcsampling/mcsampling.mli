@@ -29,7 +29,10 @@
     prefix: counters [samples], [hits], [connectivity_checks] (and, for
     HT, [distinct] plus a [dedup_ratio] gauge), per-chunk spans on the
     [chunk] timer, a [total] timer, and for HT a [merge] timer around
-    the ordered table merge. The kernel fast path additionally records a
+    the ordered table merge. The [total] timer and HT's [hits],
+    [distinct] and [connectivity_checks] counters are whole-run
+    figures: the fixed-budget entry points record them, the rounds of
+    {!Chunked} do not. The kernel fast path additionally records a
     [kernel.samples] counter and a [kernel.elapsed] timer (the summed
     monotonic wall-clock of the parallel sampling region; [0.] under a
     fake clock) from which the report layer derives
@@ -209,29 +212,35 @@ module Reference : sig
     ?seed:int -> Ugraph.t -> terminals:int list -> samples:int -> estimate
 end
 
-(** Incremental chunked drawing for the sequential-stopping driver
-    ({!Adaptive}): the same kernels, chunk streams and ordered
-    reductions as the fixed-budget samplers, but resumable — the
-    sampler retains the master generator and splits one fresh stream
-    per chunk as rounds request more samples, in global chunk order.
-    A run is replayable from [(seed, round schedule)]; [jobs] only
-    places chunks on domains. The chunk {e boundaries} follow the
-    round schedule rather than one balanced partition of the final
-    total, so an adaptive run and a fixed-budget run of the same total
-    are two different (each internally deterministic) draws.
+(** The one sampling driver: resumable chunked drawing. The sampler
+    retains the master generator and splits one fresh stream per chunk
+    as rounds request more samples, in global chunk order, then folds
+    the chunks in that order. A run is replayable from
+    [(seed, round schedule)]; [jobs] only places chunks on domains.
+
+    {b A fixed budget is a one-round schedule.} {!monte_carlo},
+    {!horvitz_thompson} and their [_csr] variants are one
+    [*_create] / [*_draw ~samples] / [*_estimate] sequence: one
+    round's chunk plan is the balanced partition of [samples], and its
+    streams are the master's first splits. The sequential-stopping
+    driver ({!Adaptive}) runs the same sampler over several rounds,
+    whose chunk {e boundaries} follow the round schedule rather than
+    one balanced partition of the final total. So an adaptive run and a
+    fixed-budget run of the same total are two different (each
+    internally deterministic) draws.
 
     Drawing functions raise [Invalid_argument] on non-positive sample
-    counts; [*_create] rejects invalid terminals, [jobs <= 0] and the
-    trivial [k < 2] case (the caller answers it without sampling).
-    [*_estimate] raises until at least one draw happened. *)
+    counts; [*_create] rejects terminals invalid for the snapshot,
+    [jobs <= 0] and the trivial [k < 2] case (the caller answers it
+    without sampling). [*_estimate] raises until at least one draw
+    happened. *)
 module Chunked : sig
   type mc
   type ht
 
   val mc_create :
     ?obs:Obs.t -> ?trace:Trace.t -> ?seed:int -> ?jobs:int ->
-    ?kernel:kernel_mode -> ?csr:Kernel.Csr.t -> Ugraph.t ->
-    terminals:int list -> mc
+    ?kernel:kernel_mode -> Kernel.Csr.t -> terminals:int list -> mc
 
   val mc_draw : mc -> samples:int -> unit
   (** Draw one round of [samples] more samples (split into
@@ -247,8 +256,7 @@ module Chunked : sig
 
   val ht_create :
     ?obs:Obs.t -> ?trace:Trace.t -> ?seed:int -> ?jobs:int ->
-    ?kernel:kernel_mode -> ?csr:Kernel.Csr.t -> Ugraph.t ->
-    terminals:int list -> ht
+    ?kernel:kernel_mode -> Kernel.Csr.t -> terminals:int list -> ht
 
   val ht_draw : ht -> samples:int -> unit
 
@@ -258,6 +266,5 @@ module Chunked : sig
   (** The Horvitz–Thompson estimate over everything drawn so far. HT
       weights depend on the total sample count, so each call replays
       the ordered merge of all per-chunk dedup tables and the
-      pi-weighted fold at the current total — identical to what the
-      fixed-budget sampler computes for that total and schedule. *)
+      pi-weighted fold at the current total. *)
 end

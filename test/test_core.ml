@@ -24,6 +24,15 @@ let t_samplesize_cases () =
   (* Exact bounds: no samples needed at all. *)
   Alcotest.(check int) "tight bounds" 0 (SS.reduced ~s ~pc:0.5 ~pd:0.5)
 
+(* s = max_int rounds to 2^62 as a float; the product must not wrap. *)
+let t_samplesize_max_int () =
+  let s = max_int in
+  Alcotest.(check int) "no bounds: s unchanged" s (SS.reduced ~s ~pc:0. ~pd:0.);
+  Alcotest.(check int) "tight bounds" 0 (SS.reduced ~s ~pc:0.5 ~pd:0.5);
+  let half = SS.reduced ~s ~pc:0. ~pd:0.5 in
+  Alcotest.(check bool) "pd=0.5 in [0, s]" true (0 <= half && half <= s);
+  Alcotest.(check int) "pd=0.5 is s/2" (1 lsl 61) half
+
 let t_samplesize_invalid () =
   Alcotest.check_raises "pc+pd > 1"
     (Invalid_argument "Samplesize: invalid bounds pc=0.8 pd=0.8") (fun () ->
@@ -474,4 +483,5 @@ let suite =
           prop_s2bdd_exact_with_huge_width;
           prop_reliability_matches_bruteforce_exact;
           prop_reliability_bounds_valid_under_pressure;
-        ] )
+        ]
+    @ [ Alcotest.test_case "samplesize: s = max_int" `Quick t_samplesize_max_int ] )

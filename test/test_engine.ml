@@ -195,6 +195,53 @@ let t_apps_identity () =
   Alcotest.(check (array int)) "same assignment" c1.Clust.assignment
     c2.Clust.assignment
 
+(* One validator for every front end: a stopping cap needs a stopping
+   rule, and budgets past the limit are refused before any work. *)
+let t_budget_validation () =
+  let e = engine_with_obs () in
+  let g = fig1 () in
+  let q = { E.default with E.terminals = [ 0; 3 ]; method_ = E.Sampling_mc } in
+  Alcotest.check_raises "max-samples without ci-width"
+    (Invalid_argument "--max-samples requires --ci-width") (fun () ->
+      ignore (E.query e g { q with E.max_samples = Some 100 }));
+  Alcotest.check_raises "samples past the limit"
+    (Invalid_argument
+       (Printf.sprintf "samples %d exceeds the limit %d" max_int E.sample_limit))
+    (fun () -> ignore (E.query e g { q with E.samples = max_int }));
+  Alcotest.check_raises "max-samples past the limit"
+    (Invalid_argument
+       (Printf.sprintf "max-samples %d exceeds the limit %d"
+          (E.sample_limit + 1) E.sample_limit))
+    (fun () ->
+      ignore
+        (E.query e g
+           { q with E.ci_width = Some 0.1;
+             max_samples = Some (E.sample_limit + 1) }));
+  Alcotest.(check int) "rejected queries never reach the engine" 0
+    (assoc "queries" e);
+  E.validate { q with E.samples = E.sample_limit }
+
+(* [~extension:false] runs Pro without the pipeline, exactly as
+   [Reliability.estimate ~extension:false], and is part of the memo
+   key, so the two runs of one query never alias. *)
+let t_extension_switch () =
+  let g = karate () in
+  let q =
+    { E.default with E.terminals = [ 0; 33 ]; samples = 2000; width = 64 }
+  in
+  let e = E.create () in
+  let off = E.query ~extension:false e g q in
+  let config =
+    { S.default_config with S.samples = 2000; S.width = 64; S.seed = 1 }
+  in
+  let rep = R.estimate ~config ~extension:false g ~terminals:[ 0; 33 ] in
+  Alcotest.(check bool) "no-extension result identical" true
+    (off.E.result = SD.result_of_report rep);
+  let on = E.query e g q in
+  Alcotest.(check bool) "extension run is not a memo hit" false on.E.cached;
+  Alcotest.(check bool) "extension run equals the default" true
+    (on.E.result = (E.query (E.create ()) g q).E.result)
+
 let suite =
   ( "engine",
     [
@@ -208,4 +255,6 @@ let suite =
       Alcotest.test_case "bit identity: adaptive" `Quick t_bit_identity_adaptive;
       Alcotest.test_case "sampleset shared" `Quick t_sampleset_shared;
       Alcotest.test_case "apps identity" `Quick t_apps_identity;
+      Alcotest.test_case "budget validation" `Quick t_budget_validation;
+      Alcotest.test_case "extension switch" `Quick t_extension_switch;
     ] )
