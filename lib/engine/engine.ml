@@ -78,10 +78,11 @@ type t = {
   obs : Obs.t;
   eo : Obs.t; (* Obs.sub obs "engine": the cache counters *)
   ctxs : (int, ctx) Hashtbl.t;
+  mutable last : (Ugraph.t * int) option; (* the last graph hashed, by identity *)
 }
 
 let create ?(obs = Obs.disabled) () =
-  { obs; eo = Obs.sub obs "engine"; ctxs = Hashtbl.create 4 }
+  { obs; eo = Obs.sub obs "engine"; ctxs = Hashtbl.create 4; last = None }
 
 let obs t = t.obs
 
@@ -99,14 +100,21 @@ let digest = Bingraph.Digest.of_graph
    digest (read from a binary-container header) skip the O(m) re-hash
    on every query. Trusted like any other cache key: a wrong digest
    aliases two graphs, so only header digests that were computed by
-   Bingraph over the same edge array belong here. *)
+   Bingraph over the same edge array belong here. A [Ugraph.t] is
+   immutable, so the digest of the last graph hashed is reused while
+   the same graph (physically) keeps coming back: a session over a
+   text-loaded graph hashes it once, not once per query. *)
 let context ?digest:(d0 = None) t g =
   let d =
-    match d0 with
-    | Some d ->
+    match (d0, t.last) with
+    | Some d, _ ->
       Obs.incr t.eo "digest_from_header";
       d
-    | None -> digest g
+    | None, Some (g', d) when g' == g -> d
+    | None, _ ->
+      let d = digest g in
+      t.last <- Some (g, d);
+      d
   in
   match Hashtbl.find_opt t.ctxs d with
   | Some ctx ->
@@ -159,25 +167,22 @@ let prep t ctx ~trace ~terminals =
 
 (* ---- queries ---- *)
 
-(* Budgets above this are refused outright: the chunk plan and the
-   per-chunk tables grow with the budget, and near [max_int] the plan's
-   ceiling division overflows. *)
-let sample_limit = 1 lsl 32
+let sample_limit = Mcsampling.sample_limit
 
 (* The one query validator, ahead of the memo. [samples <= 0] is left
-   to the estimators, which raise it after preprocessing. *)
+   to the estimators, which raise it after preprocessing. The width is
+   checked for every method and graph: a query whose answer happens not
+   to need an S2BDD (a bridge-only Pro query, a sampling method) gets
+   the same error as one that does. *)
 let validate q =
   if q.jobs < 1 then invalid_arg "Engine.query: jobs < 1";
-  let over what n =
-    if n > sample_limit then
-      invalid_arg
-        (Printf.sprintf "%s %d exceeds the limit %d" what n sample_limit)
-  in
+  if q.width < 1 then
+    invalid_arg (Printf.sprintf "width must be >= 1 (got %d)" q.width);
   (match (q.ci_width, q.max_samples) with
   | None, Some _ -> invalid_arg "--max-samples requires --ci-width"
-  | _, Some n -> over "max-samples" n
+  | _, Some n -> Mcsampling.check_budget "max-samples" n
   | _, None -> ());
-  over "samples" q.samples
+  Mcsampling.check_budget "samples" q.samples
 
 let memo_key ~extension q =
   Printf.sprintf "t=%s;m=%s;s=%d;w=%d;cw=%s;ms=%s;seed=%d;jobs=%d;k=%s;x=%b"

@@ -98,14 +98,14 @@ val digest : Ugraph.t -> int
     stores in its header). *)
 
 val sample_limit : int
-(** [2^32]: the largest [samples] / [max_samples] a query may ask
-    for. The chunk plan and the per-chunk tables grow with the budget,
-    so larger budgets are refused rather than attempted. *)
+(** {!Mcsampling.sample_limit}: the largest [samples] / [max_samples] a
+    query may ask for. *)
 
 val validate : query -> unit
 (** The query checks every front end shares, run by {!query} before
-    the memo is consulted: [jobs >= 1], [max_samples] only with
-    [ci_width], and both budgets at most {!sample_limit}.
+    the memo is consulted: [jobs >= 1], [width >= 1] for every method,
+    [max_samples] only with [ci_width], and both budgets at most
+    {!sample_limit}.
     [samples <= 0] is left to the estimators, which raise it after
     preprocessing. @raise Invalid_argument with the reason. *)
 

@@ -6,15 +6,24 @@
     the network reliability. *)
 
 type t = {
-  comp_of_vertex : int array;  (** 2ECC id of every original vertex *)
+  comp_of_vertex : int array;
+      (** 2ECC id of every original vertex, ids in increasing order of
+          smallest member vertex *)
   n_comps : int;
-  adj : (int * int) list array;
-      (** per supernode: [(other_supernode, bridge_eid)] tree edges *)
+  bridges : int array;  (** bridge edge ids, increasing *)
+  bridge_comps : int array;
+      (** [2b], [2b+1]: the supernodes of the endpoints of [bridges.(b)] *)
+  forest_off : int array;
+  forest_adj : int array;
+      (** the forest in CSR form: the tree edges of supernode [c] are the
+          bridge indices [forest_adj.(forest_off.(c) .. forest_off.(c+1) - 1)] *)
   terminal_count : int array;  (** per supernode, set by {!build} *)
 }
 
 val build : Ugraph.t -> terminals:int list -> t
-(** Contract 2ECCs and record which supernodes host terminals. *)
+(** Contract 2ECCs and record which supernodes host terminals. One
+    {!Bridges.run} pass supplies both the bridges and the component
+    labelling. *)
 
 val steiner_keep : t -> bool array
 (** [steiner_keep bt] marks the supernodes of the minimal subtree
@@ -34,6 +43,6 @@ val terminals_separated : t -> bool
 val kept_vertices : t -> bool array -> bool array
 (** Expand a supernode keep-mask back to original vertices. *)
 
-val kept_bridges : t -> bool array -> (int, unit) Hashtbl.t
-(** Bridge edge ids whose both endpoints' supernodes are kept (the tree
-    edges of the Steiner subtree). *)
+val kept_bridges : t -> bool array -> int array
+(** Bridge edge ids, increasing, whose both endpoints' supernodes are
+    kept (the tree edges of the Steiner subtree). *)

@@ -1,18 +1,28 @@
 type result = {
   is_bridge : bool array;
   is_articulation : bool array;
+  comp : int array;
+  n_comps : int;
 }
 
 (* Iterative Tarjan low-link DFS. The explicit stack stores, per frame:
    the vertex, the edge id used to enter it (-1 at a root), and a cursor
    into its incidence list. Low-link propagation to the parent happens at
-   frame pop. *)
+   frame pop.
+
+   Every bridge is a DFS tree edge, and the 2-edge-connected components
+   are the pieces of the DFS forest cut at its bridges. So [top] records,
+   at pop, the vertex's tree parent when the entering edge is not a
+   bridge, and the vertex itself when it is (or when it is a root);
+   resolving these links in discovery order, where a parent precedes its
+   children, maps every vertex to the topmost vertex of its piece. *)
 let run g =
   let n = Ugraph.n_vertices g and m = Ugraph.n_edges g in
   let disc = Array.make n (-1) in
   let low = Array.make n max_int in
   let is_bridge = Array.make m false in
   let is_articulation = Array.make n false in
+  let top = Array.init n Fun.id in
   let time = ref 0 in
   (* Frame stacks; a DFS path never exceeds n frames. *)
   let st_v = Array.make (n + 1) 0 in
@@ -38,7 +48,7 @@ let run g =
         if st_idx.(fr) < Ugraph.degree g v then begin
           let i = st_idx.(fr) in
           st_idx.(fr) <- i + 1;
-          let eid, w = Ugraph.incident_get g v i in
+          let eid = Ugraph.incident_eid g v i and w = Ugraph.incident_nbr g v i in
           if eid <> st_eid.(fr) && w <> v then begin
             if disc.(w) < 0 then begin
               if v = root then incr root_children;
@@ -53,7 +63,8 @@ let run g =
           if !sp > 0 then begin
             let u = st_v.(!sp - 1) in
             if low.(v) < low.(u) then low.(u) <- low.(v);
-            if low.(v) > disc.(u) then is_bridge.(st_eid.(fr)) <- true;
+            if low.(v) > disc.(u) then is_bridge.(st_eid.(fr)) <- true
+            else top.(v) <- u;
             if u <> root && low.(v) >= disc.(u) then is_articulation.(u) <- true
           end
         end
@@ -61,7 +72,24 @@ let run g =
       if !root_children >= 2 then is_articulation.(root) <- true
     end
   done;
-  { is_bridge; is_articulation }
+  (* [st_v] becomes the discovery order; component ids then follow the
+     smallest member vertex. *)
+  Array.iteri (fun v d -> st_v.(d) <- v) disc;
+  for d = 0 to n - 1 do
+    let v = st_v.(d) in
+    top.(v) <- top.(top.(v))
+  done;
+  let id = Array.make n (-1) and comp = Array.make n 0 in
+  let n_comps = ref 0 in
+  for v = 0 to n - 1 do
+    let t = top.(v) in
+    if id.(t) < 0 then begin
+      id.(t) <- !n_comps;
+      incr n_comps
+    end;
+    comp.(v) <- id.(t)
+  done;
+  { is_bridge; is_articulation; comp; n_comps = !n_comps }
 
 let bridges g = (run g).is_bridge
 let articulation_points g = (run g).is_articulation
@@ -75,23 +103,8 @@ let bridge_eids g =
   !acc
 
 let two_edge_components g =
-  let b = bridges g in
-  let n = Ugraph.n_vertices g in
-  let dsu = Dsu.create n in
-  Ugraph.iter_edges
-    (fun eid (e : Ugraph.edge) -> if not b.(eid) then ignore (Dsu.union dsu e.u e.v))
-    g;
-  let comp = Array.make n (-1) in
-  let count = ref 0 in
-  for v = 0 to n - 1 do
-    let r = Dsu.find dsu v in
-    if comp.(r) < 0 then begin
-      comp.(r) <- !count;
-      incr count
-    end;
-    comp.(v) <- comp.(r)
-  done;
-  (comp, !count)
+  let r = run g in
+  (r.comp, r.n_comps)
 
 let naive_bridges g =
   let m = Ugraph.n_edges g in

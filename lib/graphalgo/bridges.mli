@@ -13,10 +13,16 @@
 type result = {
   is_bridge : bool array;        (** per edge identifier *)
   is_articulation : bool array;  (** per vertex *)
+  comp : int array;
+      (** per vertex: its 2-edge-connected component, as in
+          {!two_edge_components} *)
+  n_comps : int;
 }
 
 val run : Ugraph.t -> result
-(** Single DFS over all components. O(|V| + |E|). *)
+(** Single DFS over all components, which also labels the
+    2-edge-connected components (the DFS forest cut at its bridges).
+    O(|V| + |E|). *)
 
 val bridges : Ugraph.t -> bool array
 val articulation_points : Ugraph.t -> bool array

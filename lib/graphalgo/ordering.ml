@@ -119,7 +119,7 @@ let dfs_vertex_order g =
       if st_i.(fr) < Ugraph.degree g v then begin
         let i = st_i.(fr) in
         st_i.(fr) <- i + 1;
-        let _, w = Ugraph.incident_get g v i in
+        let w = Ugraph.incident_nbr g v i in
         if not seen.(w) then push w
       end
       else decr sp

@@ -45,8 +45,17 @@ type kernel_mode = Flat | Bitsliced
 
 let kernel_mode_name = function Flat -> "flat" | Bitsliced -> "bitsliced"
 
+(* Budgets above this are refused outright: the chunk plan and the
+   per-chunk tables grow with the budget. *)
+let sample_limit = 1 lsl 32
+
+let check_budget what n =
+  if n > sample_limit then
+    invalid_arg (Printf.sprintf "%s %d exceeds the limit %d" what n sample_limit)
+
 let validate_budgets ~samples ~jobs =
   if samples <= 0 then invalid_arg "Mcsampling: samples <= 0";
+  check_budget "samples" samples;
   if jobs <= 0 then invalid_arg "Mcsampling: jobs <= 0"
 
 let validate g ~terminals ~samples ~jobs =
@@ -523,6 +532,7 @@ module Chunked = struct
 
   let mc_draw t ~samples =
     if samples <= 0 then invalid_arg "Mcsampling.Chunked.mc_draw: samples <= 0";
+    check_budget "samples" samples;
     let c = t.mc in
     let chunk_hits =
       round c ~span:"mc.chunk" ~samples (fun depth rng len ->
@@ -576,6 +586,7 @@ module Chunked = struct
 
   let ht_draw t ~samples =
     if samples <= 0 then invalid_arg "Mcsampling.Chunked.ht_draw: samples <= 0";
+    check_budget "samples" samples;
     let c = t.ht in
     let tables =
       round c ~span:"ht.chunk" ~samples (fun depth rng len ->

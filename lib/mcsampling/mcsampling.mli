@@ -132,6 +132,17 @@ val ht_weight : logq:float -> n:int -> float
     single shared implementation used by {!horvitz_thompson} and by the
     S2BDD descent estimator. *)
 
+val sample_limit : int
+(** [2^32]: the largest sample budget a sampler accepts, per call and
+    per {!Chunked} round. The chunk plan and the per-chunk tables grow
+    with the budget, so larger budgets are refused rather than
+    attempted. *)
+
+val check_budget : string -> int -> unit
+(** [check_budget what n] raises [Invalid_argument "<what> <n> exceeds
+    the limit <sample_limit>"] when [n > sample_limit]: the message
+    every front end prints for an oversized budget. *)
+
 val monte_carlo :
   ?obs:Obs.t -> ?trace:Trace.t -> ?seed:int -> ?jobs:int ->
   ?kernel:kernel_mode -> ?csr:Kernel.Csr.t -> Ugraph.t ->
@@ -145,7 +156,7 @@ val monte_carlo :
     so passing one never changes the estimate. MC draws with
     replacement and never deduplicates, so [distinct = 0] (not
     measured). @raise Invalid_argument on invalid terminals,
-    [samples <= 0], or [jobs <= 0]. *)
+    [samples <= 0], [samples > sample_limit] or [jobs <= 0]. *)
 
 val horvitz_thompson :
   ?obs:Obs.t -> ?trace:Trace.t -> ?seed:int -> ?jobs:int ->

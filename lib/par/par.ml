@@ -52,7 +52,8 @@ let chunks ~total ~target =
   if target < 1 then invalid_arg "Par.chunks: target < 1";
   if total = 0 then [||]
   else begin
-    let n = (total + target - 1) / target in
+    (* The ceiling of total / target, without overflowing near max_int. *)
+    let n = (total / target) + if total mod target = 0 then 0 else 1 in
     let base = total / n and extra = total mod n in
     let off = ref 0 in
     Array.init n (fun i ->

@@ -29,61 +29,121 @@ let reduction_ratio st =
   if st.original_edges = 0 then 0.
   else float_of_int st.max_subproblem_edges /. float_of_int st.original_edges
 
-(* Decompose a pruned graph at its bridges. Bridge endpoints become
+(* The prune, decompose and transform stages run over int arrays
+   indexed by the input's vertex and edge ids; no intermediate graph is
+   built. Bridges are computed once, on the input: the Steiner prune
+   keeps or drops whole 2-edge-connected components, so the pruned
+   graph's bridges are exactly the input's bridges between kept
+   components, and its bridge-free components are the kept
+   components. *)
+
+(* Prune: restrict to the Steiner subtree of the block forest. [None]
+   when the terminals lie in different trees. Otherwise the supernode
+   keep-mask and the pruned graph's vertex and edge counts. *)
+let prune g ~terminals =
+  let bt = BT.build g ~terminals in
+  let keep = BT.steiner_keep bt in
+  let comp = bt.BT.comp_of_vertex in
+  (* [steiner_keep] keeps nothing when the terminals are separated,
+     and every terminal's supernode otherwise. *)
+  if not keep.(comp.(List.hd terminals)) then None
+  else begin
+    let vertices = ref 0 and edges = ref 0 in
+    Array.iter (fun c -> if keep.(c) then incr vertices) comp;
+    Ugraph.iter_edges
+      (fun _ (e : Ugraph.edge) ->
+        if keep.(comp.(e.u)) && keep.(comp.(e.v)) then incr edges)
+      g;
+    Some (bt, keep, !vertices, !edges)
+  end
+
+(* A subproblem before the transform: the slice [first, first + len)
+   of the packed edge arrays, in the component's own numbering. *)
+type packed = { n : int; first : int; len : int; ts : int list }
+
+(* Decompose the pruned graph at its bridges. Bridge endpoints become
    mandatory terminals of their side (Lemma 5.1). Returns the bridge
-   probability product and one subproblem per bridge-free component
-   that retains at least two terminals. *)
-let decompose pruned terminals =
-  let is_bridge = Graphalgo.Bridges.bridges pruned in
-  let n = Ugraph.n_vertices pruned in
-  let pb = ref Xprob.one in
-  let n_bridges = ref 0 in
-  let must_connect = Array.make n false in
-  List.iter (fun t -> must_connect.(t) <- true) terminals;
-  Ugraph.iter_edges
-    (fun eid (e : Ugraph.edge) ->
-      if is_bridge.(eid) then begin
-        incr n_bridges;
-        pb := Xprob.mul !pb (Xprob.of_float e.p);
-        must_connect.(e.u) <- true;
-        must_connect.(e.v) <- true
-      end)
-    pruned;
-  (* Components of the bridge-free remainder. *)
-  let dsu = Dsu.create n in
-  Ugraph.iter_edges
-    (fun eid (e : Ugraph.edge) ->
-      if not is_bridge.(eid) then ignore (Dsu.union dsu e.u e.v))
-    pruned;
-  let members = Hashtbl.create 16 in
-  for v = n - 1 downto 0 do
-    let r = Dsu.find dsu v in
-    Hashtbl.replace members r (v :: (Option.value ~default:[] (Hashtbl.find_opt members r)))
+   probability product (in edge order), the bridge count, the packed
+   edge arrays and one packed subproblem per kept component that holds
+   at least two mandatory terminals, in ascending order of its smallest
+   vertex (component ids follow that order). A component's vertices
+   are numbered in increasing input order, its edges keep input order,
+   and its terminals are listed in increasing order. *)
+let decompose g bt keep ~terminals =
+  let n = Ugraph.n_vertices g and nc = bt.BT.n_comps in
+  let comp = bt.BT.comp_of_vertex in
+  let bridges = BT.kept_bridges bt keep in
+  let must = Bytes.make n '\000' in
+  List.iter (fun t -> Bytes.set must t '\001') terminals;
+  let pb =
+    Array.fold_left
+      (fun pb eid ->
+        let e = Ugraph.edge g eid in
+        Bytes.set must e.u '\001';
+        Bytes.set must e.v '\001';
+        Xprob.mul pb (Xprob.of_float e.p))
+      Xprob.one bridges
+  in
+  let local = Array.make n (-1) in
+  let size = Array.make nc 0 and musts = Array.make nc 0 in
+  for v = 0 to n - 1 do
+    let c = comp.(v) in
+    if keep.(c) then begin
+      local.(v) <- size.(c);
+      size.(c) <- size.(c) + 1;
+      if Bytes.get must v <> '\000' then musts.(c) <- musts.(c) + 1
+    end
   done;
-  (* Emit subproblems in canonical order (ascending min vertex id of the
-     component) rather than [Hashtbl.fold] bucket order: Prng stream
-     assignment, stats and trace output are then stable by construction,
-     and cached pipeline outcomes are reproducible. Each member list was
-     built by consing from [n-1] down, so its head is the component
-     minimum. *)
-  let comps =
-    Hashtbl.fold (fun _root vs acc -> vs :: acc) members []
-    |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
+  let sub c = keep.(c) && musts.(c) >= 2 in
+  (* Group the edges inside subproblem components by component; an
+     edge is inside one iff it is not a bridge. *)
+  let inside (e : Ugraph.edge) =
+    let c = comp.(e.u) in
+    if c = comp.(e.v) && sub c then c else -1
   in
-  let subs =
-    List.filter_map
-      (fun vs ->
-        let ts = List.filter (fun v -> must_connect.(v)) vs in
-        if List.length ts < 2 then None
-        else begin
-          let vs_arr = Array.of_list vs in
-          let sub, old_of_new = Ugraph.induced pruned vs_arr in
-          let ts = Ugraph.relabel_terminals ~old_of_new ts in
-          Some { graph = sub; terminals = ts }
-        end)
-      comps
-  in
-  (!pb, !n_bridges, subs)
+  let first = Array.make (nc + 1) 0 in
+  Ugraph.iter_edges
+    (fun _ e ->
+      let c = inside e in
+      if c >= 0 then first.(c + 1) <- first.(c + 1) + 1)
+    g;
+  for c = 0 to nc - 1 do
+    first.(c + 1) <- first.(c + 1) + first.(c)
+  done;
+  let total = first.(nc) in
+  let eu = Array.make total 0 and ev = Array.make total 0 in
+  let ep = Array.make total 0. in
+  let cursor = Array.sub first 0 nc in
+  Ugraph.iter_edges
+    (fun _ e ->
+      let c = inside e in
+      if c >= 0 then begin
+        let i = cursor.(c) in
+        eu.(i) <- local.(e.u);
+        ev.(i) <- local.(e.v);
+        ep.(i) <- e.p;
+        cursor.(c) <- i + 1
+      end)
+    g;
+  let ts = Array.make nc [] in
+  for v = n - 1 downto 0 do
+    let c = comp.(v) in
+    if sub c && Bytes.get must v <> '\000' then ts.(c) <- local.(v) :: ts.(c)
+  done;
+  let subs = ref [] in
+  for c = nc - 1 downto 0 do
+    if sub c then
+      subs :=
+        { n = size.(c); first = first.(c); len = first.(c + 1) - first.(c); ts = ts.(c) }
+        :: !subs
+  done;
+  (pb, Array.length bridges, (eu, ev, ep), !subs)
+
+(* Whether the subproblem's terminals lie in one component. *)
+let connected sp =
+  let dsu = Dsu.create (Ugraph.n_vertices sp.graph) in
+  Ugraph.iter_edges (fun _ (e : Ugraph.edge) -> ignore (Dsu.union dsu e.u e.v)) sp.graph;
+  Dsu.all_connected dsu sp.terminals
 
 (* Record the per-phase reduction account under "preprocess.". *)
 let observe_stats o st =
@@ -125,41 +185,30 @@ let run ?(obs = Obs.disabled) ?(trace = Trace.disabled) g ~terminals =
       else None
     in
     Obs.gc_phase o ?emit "gc" @@ fun () ->
-    (* Prune: restrict to the Steiner subtree of the block tree. *)
-    let pruned_opt =
+    let pruned =
       Trace.span trace "prune" @@ fun () ->
-      Obs.time o "prune" @@ fun () ->
-      let bt = BT.build g ~terminals in
-      if BT.terminals_separated bt then None
-      else begin
-        let keep_comps = BT.steiner_keep bt in
-        let keep_vertex = BT.kept_vertices bt keep_comps in
-        let kept =
-          Array.of_list
-            (List.filter (fun v -> keep_vertex.(v))
-               (List.init (Ugraph.n_vertices g) Fun.id))
-        in
-        let pruned, old_of_new = Ugraph.induced g kept in
-        let terminals' = Ugraph.relabel_terminals ~old_of_new terminals in
-        Some (pruned, terminals')
-      end
+      Obs.time o "prune" @@ fun () -> prune g ~terminals
     in
-    match pruned_opt with
+    match pruned with
     | None -> trivial "trivial_zero" Xprob.zero
-    | Some (pruned, terminals') ->
+    | Some (bt, keep, pruned_vertices, pruned_edges) ->
       (* Decompose at the surviving bridges. *)
-      let pb, n_bridges, raw_subs =
+      let pb, n_bridges, (eu, ev, ep), raw_subs =
         Trace.span trace "decompose" @@ fun () ->
-        Obs.time o "decompose" @@ fun () -> decompose pruned terminals'
+        Obs.time o "decompose" @@ fun () -> decompose g bt keep ~terminals
       in
-      (* Transform each subproblem. *)
+      (* Transform each subproblem, reusing one set of work buffers. *)
       let rounds = ref 0 in
       let subproblems =
         Trace.span trace "transform" @@ fun () ->
         Obs.time o "transform" @@ fun () ->
+        let s = Transform.scratch () in
         List.filter_map
-          (fun sp ->
-            let tr = Transform.run sp.graph ~terminals:sp.terminals in
+          (fun r ->
+            let tr =
+              Transform.run_packed s ~n:r.n ~eu ~ev ~ep ~first:r.first ~len:r.len
+                ~terminals:r.ts
+            in
             rounds := !rounds + tr.Transform.rounds;
             if List.length tr.Transform.terminals < 2 then None
             else
@@ -168,17 +217,7 @@ let run ?(obs = Obs.disabled) ?(trace = Trace.disabled) g ~terminals =
       in
       (* A transform can only isolate a terminal if it was never
          connectable; the Steiner prune precludes that, but check. *)
-      let zero =
-        List.exists
-          (fun sp ->
-            List.exists (fun t -> Ugraph.degree sp.graph t = 0) sp.terminals
-            ||
-            let present = Array.make (Ugraph.n_edges sp.graph) true in
-            not
-              (Graphalgo.Connectivity.terminals_connected sp.graph ~present
-                 sp.terminals))
-          subproblems
-      in
+      let zero = List.exists (fun sp -> not (connected sp)) subproblems in
       if zero then trivial "trivial_zero" Xprob.zero
       else begin
         let final_edges =
@@ -191,8 +230,8 @@ let run ?(obs = Obs.disabled) ?(trace = Trace.disabled) g ~terminals =
           {
             original_vertices = Ugraph.n_vertices g;
             original_edges = Ugraph.n_edges g;
-            pruned_vertices = Ugraph.n_vertices pruned;
-            pruned_edges = Ugraph.n_edges pruned;
+            pruned_vertices;
+            pruned_edges;
             n_bridges;
             n_subproblems = List.length subproblems;
             final_edges;

@@ -25,4 +25,26 @@ type result = {
 val run : Ugraph.t -> terminals:int list -> result
 (** Apply all rewrites until none fires. Terminal vertices are always
     retained, even if the rewrites isolate them (which signals overall
-    reliability zero to the caller). *)
+    reliability zero to the caller).
+
+    The rewrites run over packed int/float edge arrays: an
+    open-addressing table over packed vertex pairs merges parallel
+    edges, and a CSR adjacency drives the chain walks. Only the final
+    edge set becomes a [Ugraph.t]. The output is a fixed function of the
+    input edge order: parallel edges merge in first-occurrence order,
+    every surviving edge is normalised to [(min, max)], and contracted
+    chains precede the surviving edges. *)
+
+type scratch
+(** Work buffers for {!run_packed}, grown on demand and reused across
+    rounds and across calls. Not safe to share between domains. *)
+
+val scratch : unit -> scratch
+
+val run_packed :
+  scratch -> n:int -> eu:int array -> ev:int array -> ep:float array ->
+  first:int -> len:int -> terminals:int list -> result
+(** {!run} on the graph with [n] vertices whose edge [i] is
+    [(eu.(first + i), ev.(first + i), ep.(first + i))], for [i] in
+    [[0, len)]. Equal to {!run} on that graph. Edges and terminals are
+    trusted: the caller has validated them. *)

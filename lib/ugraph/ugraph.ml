@@ -47,6 +47,7 @@ let build n edge_arr =
   { n; edge_arr; offsets; nbr; eid }
 
 let of_arrays ~n edges = build n (Array.copy edges)
+let init ~n m f = build n (Array.init m f)
 let create ~n edges = build n (Array.of_list edges)
 
 let n_vertices g = g.n
@@ -70,9 +71,8 @@ let iter_incident g v f =
 let incident_eids g v =
   Array.sub g.eid g.offsets.(v) (degree g v)
 
-let incident_get g v i =
-  let j = g.offsets.(v) + i in
-  (g.eid.(j), g.nbr.(j))
+let incident_eid g v i = g.eid.(g.offsets.(v) + i)
+let incident_nbr g v i = g.nbr.(g.offsets.(v) + i)
 
 let neighbours g v = Array.sub g.nbr g.offsets.(v) (degree g v)
 
@@ -107,28 +107,35 @@ let map_probs f g =
   build g.n (Array.mapi (fun i e -> { e with p = f i e }) g.edge_arr)
 
 let induced g vs =
-  let new_of_old = Hashtbl.create (Array.length vs) in
+  let new_of_old = Array.make g.n (-1) in
   Array.iteri
     (fun new_id old_id ->
-      if Hashtbl.mem new_of_old old_id then
-        invalid_arg "Ugraph.induced: duplicate vertex";
       if old_id < 0 || old_id >= g.n then
         invalid_arg "Ugraph.induced: vertex out of range";
-      Hashtbl.add new_of_old old_id new_id)
+      if new_of_old.(old_id) >= 0 then
+        invalid_arg "Ugraph.induced: duplicate vertex";
+      new_of_old.(old_id) <- new_id)
     vs;
-  let sub_edges = ref [] in
+  let kept e = new_of_old.(e.u) >= 0 && new_of_old.(e.v) >= 0 in
+  let m' = Array.fold_left (fun c e -> if kept e then c + 1 else c) 0 g.edge_arr in
+  let sub = Array.make m' { u = 0; v = 0; p = 0. } in
+  let j = ref 0 in
   Array.iter
     (fun e ->
-      match (Hashtbl.find_opt new_of_old e.u, Hashtbl.find_opt new_of_old e.v) with
-      | Some u', Some v' -> sub_edges := { u = u'; v = v'; p = e.p } :: !sub_edges
-      | _ -> ())
+      if kept e then begin
+        sub.(!j) <- { e with u = new_of_old.(e.u); v = new_of_old.(e.v) };
+        incr j
+      end)
     g.edge_arr;
-  (create ~n:(Array.length vs) (List.rev !sub_edges), Array.copy vs)
+  (build (Array.length vs) sub, Array.copy vs)
 
 let relabel_terminals ~old_of_new ts =
-  let new_of_old = Hashtbl.create (Array.length old_of_new) in
-  Array.iteri (fun new_id old_id -> Hashtbl.add new_of_old old_id new_id) old_of_new;
-  List.filter_map (fun t -> Hashtbl.find_opt new_of_old t) ts
+  let size = Array.fold_left (fun acc v -> max acc (v + 1)) 0 old_of_new in
+  let new_of_old = Array.make size (-1) in
+  Array.iteri (fun new_id old_id -> new_of_old.(old_id) <- new_id) old_of_new;
+  List.filter_map
+    (fun t -> if t >= 0 && t < size && new_of_old.(t) >= 0 then Some new_of_old.(t) else None)
+    ts
 
 let validate_terminals g ts =
   if ts = [] then invalid_arg "Ugraph.validate_terminals: empty terminal set";

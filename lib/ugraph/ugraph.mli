@@ -26,6 +26,10 @@ val create : n:int -> edge list -> t
 val of_arrays : n:int -> edge array -> t
 (** Like {!create} from an array; the array is copied. *)
 
+val init : n:int -> int -> (int -> edge) -> t
+(** [init ~n m f] is the graph whose edge [i] is [f i], for [i] in
+    [[0, m)]: {!create} without an intermediate list or copy. *)
+
 val n_vertices : t -> int
 val n_edges : t -> int
 
@@ -49,11 +53,12 @@ val iter_incident : t -> int -> (eid:int -> other:int -> unit) -> unit
 val incident_eids : t -> int -> int array
 (** Edge identifiers incident to a vertex (self-loops once). *)
 
-val incident_get : t -> int -> int -> int * int
-(** [incident_get g v i] is the [i]-th incident [(eid, other_endpoint)]
-    of [v], for [i] in [[0, degree g v)]. Constant time, no allocation
-    beyond the result pair; intended for iterative DFS/BFS that cannot
-    use {!iter_incident}. *)
+val incident_eid : t -> int -> int -> int
+val incident_nbr : t -> int -> int -> int
+(** [incident_eid g v i] and [incident_nbr g v i] are the edge
+    identifier and the opposite endpoint of the [i]-th edge incident to
+    [v], for [i] in [[0, degree g v)]. Constant time, no allocation;
+    intended for iterative DFS/BFS that cannot use {!iter_incident}. *)
 
 val neighbours : t -> int -> int array
 (** Endpoint vertices adjacent to a vertex, one entry per incident edge

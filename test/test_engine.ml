@@ -242,6 +242,25 @@ let t_extension_switch () =
   Alcotest.(check bool) "extension run equals the default" true
     (on.E.result = (E.query (E.create ()) g q).E.result)
 
+(* The width is validated for every method, whatever the graph: a
+   bridge-only Pro query that never builds an S2BDD is refused like any
+   other. *)
+let t_width_validation () =
+  let e = engine_with_obs () in
+  let g = path4 0.5 in
+  List.iter
+    (fun (m, width) ->
+      Alcotest.check_raises
+        (Printf.sprintf "%s width %d" (E.method_name m) width)
+        (Invalid_argument (Printf.sprintf "width must be >= 1 (got %d)" width))
+        (fun () ->
+          ignore
+            (E.query e g
+               { E.default with E.terminals = [ 0; 3 ]; method_ = m; width })))
+    [ (E.Pro, 0); (E.Pro_ht, -1); (E.Sampling_mc, 0); (E.Sampling_ht, 0) ];
+  Alcotest.(check int) "rejected queries never reach the engine" 0
+    (assoc "queries" e)
+
 let suite =
   ( "engine",
     [
@@ -257,4 +276,5 @@ let suite =
       Alcotest.test_case "apps identity" `Quick t_apps_identity;
       Alcotest.test_case "budget validation" `Quick t_budget_validation;
       Alcotest.test_case "extension switch" `Quick t_extension_switch;
+      Alcotest.test_case "width validation" `Quick t_width_validation;
     ] )

@@ -130,7 +130,7 @@ let t_blocktree_basic () =
   Alcotest.(check (array bool)) "both kept" [| true; true |] keep;
   let kv = BT.kept_vertices bt keep in
   Alcotest.(check (array bool)) "all vertices kept" (Array.make 6 true) kv;
-  Alcotest.(check int) "bridge kept" 1 (Hashtbl.length (BT.kept_bridges bt keep))
+  Alcotest.(check int) "bridge kept" 1 (Array.length (BT.kept_bridges bt keep))
 
 let t_blocktree_prunes_dangling () =
   (* Triangle 0-1-2 with pendant path 2-3-4; terminals inside the
@@ -140,7 +140,7 @@ let t_blocktree_prunes_dangling () =
   let keep = BT.steiner_keep bt in
   let kv = BT.kept_vertices bt keep in
   Alcotest.(check (array bool)) "pendant pruned" [| true; true; true; false; false |] kv;
-  Alcotest.(check int) "no bridge kept" 0 (Hashtbl.length (BT.kept_bridges bt keep))
+  Alcotest.(check int) "no bridge kept" 0 (Array.length (BT.kept_bridges bt keep))
 
 let t_blocktree_keeps_connecting_path () =
   (* Terminals at the two ends of two_triangles keep the bridge; a
@@ -225,6 +225,30 @@ let prop_plan_first_last_consistent =
           if Ugraph.degree g v = 0 then f = -1 && l = -1 else 0 <= f && f <= l)
         (List.init n Fun.id))
 
+(* The 2-edge-connected labelling read off the Tarjan DFS equals the
+   components left after deleting the (naively computed) bridges, with
+   ids in increasing order of smallest member vertex. *)
+let prop_two_edge_components_match_naive =
+  QCheck.Test.make ~name:"2-edge components = components minus bridges" ~count:300
+    (arb_graph ~max_n:12 ~max_m:25) (fun (n, es) ->
+      let g = graph ~n es in
+      let b = B.naive_bridges g in
+      let dsu = Dsu.create n in
+      Ugraph.iter_edges
+        (fun eid (e : Ugraph.edge) -> if not b.(eid) then ignore (Dsu.union dsu e.u e.v))
+        g;
+      let expected = Array.make n (-1) and count = ref 0 in
+      let id_of_root = Array.make n (-1) in
+      for v = 0 to n - 1 do
+        let r = Dsu.find dsu v in
+        if id_of_root.(r) < 0 then begin
+          id_of_root.(r) <- !count;
+          incr count
+        end;
+        expected.(v) <- id_of_root.(r)
+      done;
+      B.two_edge_components g = (expected, !count))
+
 let suite =
   ( "graphalgo",
     [
@@ -254,4 +278,5 @@ let suite =
           prop_articulations_match_naive;
           prop_frontier_width_bounded;
           prop_plan_first_last_consistent;
+          prop_two_edge_components_match_naive;
         ] )

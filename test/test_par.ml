@@ -201,6 +201,31 @@ let test_mc_agresti_coull () =
        p~=%.6f halfwidth=%.6f (hits=%d/%d)"
       exact p_tilde halfwidth e.Mcsampling.hits s
 
+(* The chunk count is a ceiling division: near [max_int] it must not
+   overflow, and the chunks still cover the total exactly. *)
+let test_chunks_near_max_int () =
+  Alcotest.(check (array (pair int int))) "one chunk"
+    [| (0, max_int) |] (Par.chunks ~total:max_int ~target:max_int);
+  let half = (max_int / 2) + 1 in
+  Alcotest.(check (array (pair int int))) "two chunks"
+    [| (0, half); (half, max_int - half) |]
+    (Par.chunks ~total:max_int ~target:half)
+
+(* A budget past the limit is refused by the sampler itself, with the
+   message the engine gives, instead of dying in the chunk plan. *)
+let test_sample_limit () =
+  let g = Testutil.fig1 () in
+  let limit = Mcsampling.sample_limit in
+  Alcotest.check_raises "monte_carlo"
+    (Invalid_argument (Printf.sprintf "samples %d exceeds the limit %d" max_int limit))
+    (fun () -> ignore (Mcsampling.monte_carlo g ~terminals:[ 0; 3 ] ~samples:max_int));
+  Alcotest.check_raises "horvitz_thompson"
+    (Invalid_argument
+       (Printf.sprintf "samples %d exceeds the limit %d" (limit + 1) limit))
+    (fun () ->
+      ignore (Mcsampling.horvitz_thompson g ~terminals:[ 0; 3 ] ~samples:(limit + 1)));
+  Alcotest.(check int) "engine aliases the limit" limit Engine.sample_limit
+
 let suite =
   ( "par",
     [
@@ -222,4 +247,8 @@ let suite =
           prop_mc_jobs_equivalent;
           prop_ht_jobs_equivalent;
           prop_reliability_jobs_equivalent;
-        ] )
+        ]
+    @ [
+        Alcotest.test_case "chunks near max_int" `Quick test_chunks_near_max_int;
+        Alcotest.test_case "sample budget limit" `Quick test_sample_limit;
+      ] )

@@ -311,6 +311,152 @@ let prop_pipeline_shrinks =
         && stats.P.pruned_edges <= stats.P.original_edges
         && stats.P.final_edges <= stats.P.pruned_edges)
 
+
+(* ---- pinned structure ---- *)
+
+(* The array pipeline must reproduce the subproblems of the list-based
+   pipeline it replaced bit for bit: numbering, edge order, probability
+   bits, terminal order, [pb] and every stats counter. Each outcome is
+   reduced to an MD5 over [pb]'s mantissa bits and exponent, the stats,
+   and every subproblem's [Bingraph.Digest] and terminal list; the
+   expected values below were recorded from the list-based code. *)
+let outcome_fingerprint = function
+  | P.Trivial x ->
+    let m, e = Xprob.mantissa_exponent x in
+    Printf.sprintf "T:%Lx:%d" (Int64.bits_of_float m) e
+  | P.Reduced { pb; subproblems; stats = s } ->
+    let b = Buffer.create 256 in
+    let m, e = Xprob.mantissa_exponent pb in
+    Printf.bprintf b "R:%Lx:%d;%d,%d,%d,%d,%d,%d,%d,%d,%d" (Int64.bits_of_float m) e
+      s.P.original_vertices s.P.original_edges s.P.pruned_vertices s.P.pruned_edges
+      s.P.n_bridges s.P.n_subproblems s.P.final_edges s.P.max_subproblem_edges
+      s.P.transform_rounds;
+    List.iter
+      (fun (sp : P.subproblem) ->
+        Printf.bprintf b ";%x:%s" (Bingraph.Digest.of_graph sp.P.graph)
+          (String.concat "," (List.map string_of_int sp.P.terminals)))
+      subproblems;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* [k] terminals spread evenly over the vertex ids, offset by [salt]:
+   distinct for any [k <= n]. *)
+let spread n k salt = List.init k (fun i -> (salt + (i * (n / k))) mod n)
+
+let pinned_fingerprints =
+  [
+    ("karate", 2, 0, "f5aa918c81db721f70aa200b03ec82b0");
+    ("karate", 2, 5, "6064d9f125d77f5da06b34320d63509a");
+    ("karate", 5, 3, "176cff2c2477ee52f23287016e8ed1c6");
+    ("karate", 10, 7, "3bb91294dc56868a80662e2ced61b3e6");
+    ("karate", 20, 11, "126ed5e203469f2ecd7852aed5832709");
+    ("am-rv", 2, 0, "867725e75a2ceb2d7585a1f871e59f3e");
+    ("am-rv", 2, 5, "eec7b13d30c0925987b373642cc57eaf");
+    ("am-rv", 5, 3, "e0039be780d534dfbc59f276fbbf4bc1");
+    ("am-rv", 10, 7, "bef90e56471ee7ddc89c069ebb23cdc9");
+    ("am-rv", 20, 11, "594a64c710aa133a3d6eb2d1f1f50523");
+    ("tokyo", 2, 0, "9e149d00a18c7b239fd1ca25ced98c16");
+    ("tokyo", 2, 5, "edd309590ffbc394719c3c6d89b3dab0");
+    ("tokyo", 5, 3, "9ac756ee3360608cbde12ab94553ea8c");
+    ("tokyo", 10, 7, "8316f74a43a5974647e51a660b560bf7");
+    ("tokyo", 20, 11, "be3101dca01d0d8647c47de14289f8be");
+    ("dblp1", 2, 0, "59d3e2235966f67cc9a93e4fc82076e9");
+    ("dblp1", 2, 5, "755be91b4f6a9b7b9646076933b6001d");
+    ("dblp1", 5, 3, "843e27ae560a3b3fee26af3a3db16923");
+    ("dblp1", 10, 7, "c4f5753932bb2dfceaf7b811a4f048f2");
+    ("dblp1", 20, 11, "68e361b7fcdad4b867a5195421bd4d2f");
+    ("hit-d", 2, 0, "d238eed236f2c51ea459ccb2077b743b");
+    ("hit-d", 2, 5, "ad7a3a8587ab562f15829e5300f7ac55");
+    ("hit-d", 5, 3, "5acfa0b222210d6359bddf32d686a545");
+    ("hit-d", 10, 7, "cb66e637682264c3e217c50cc728724a");
+    ("hit-d", 20, 11, "f0af3735eaaf30d0beb073b28915a97b");
+    ("nyc", 2, 0, "90d7cd9d0386eb72e1de643e9b6e671d");
+    ("nyc", 2, 5, "861715e2884c812ade4983551eb1e561");
+    ("nyc", 5, 3, "3a4040cb317dd76208da0f85a9ec08e6");
+    ("nyc", 10, 7, "a2965887edbd42b9071471c3e83c3f63");
+    ("nyc", 20, 11, "391f1f53fad10d16f3844f933533af16");
+    ("nyc16", 2, 0, "fc38cb0f4da6fc621a8e4ad7327bdfe7");
+    ("nyc16", 2, 5, "33193e1218158d3273079d204bde4db9");
+    ("nyc16", 5, 3, "8e253e202a9cfd6b08b5e0f3c7a89790");
+    ("nyc16", 10, 7, "02cd895a5117ecb06d272b4eb14964ba");
+    ("nyc16", 20, 11, "e28e3da22a59b0d5d58b34580bcf1ffa");
+  ]
+
+let t_pipeline_pinned_fingerprints () =
+  let module D = Workload.Datasets in
+  let graphs =
+    [ ("karate", lazy (D.karate ()).D.graph); ("am-rv", lazy (D.am_rv ()).D.graph);
+      ("tokyo", lazy (D.tokyo ()).D.graph); ("dblp1", lazy (D.dblp1 ()).D.graph);
+      ("hit-d", lazy (D.hit_direct ()).D.graph); ("nyc", lazy (D.nyc ()).D.graph);
+      ("nyc16", lazy (D.nyc ~scale:16. ()).D.graph) ]
+  in
+  List.iter
+    (fun (name, k, salt, expected) ->
+      let g = Lazy.force (List.assoc name graphs) in
+      let ts = spread (Ugraph.n_vertices g) k salt in
+      Alcotest.(check string)
+        (Printf.sprintf "%s k=%d salt=%d" name k salt)
+        expected
+        (outcome_fingerprint (P.run g ~terminals:ts)))
+    pinned_fingerprints
+
+(* Allocation gate: a pipeline run allocates at most 75 words per input
+   edge (minor + major - promoted, from its own [preprocess.gc]
+   account). Allocation does not depend on the machine, so the gate is
+   tight; the list-based pipeline allocated about 290 words per edge. *)
+let t_pipeline_allocation () =
+  let g = (Workload.Datasets.nyc ~scale:4. ()).Workload.Datasets.graph in
+  let n = Ugraph.n_vertices g and m = float_of_int (Ugraph.n_edges g) in
+  List.iter
+    (fun (k, salt) ->
+      let obs = Obs.create () in
+      ignore (P.run ~obs g ~terminals:(spread n k salt));
+      let c key = float_of_int (Obs.counter_value obs ("preprocess.gc." ^ key)) in
+      let words = c "minor_words" +. c "major_words" -. c "promoted_words" in
+      if words <= 0. then Alcotest.fail "preprocess.gc account is not live";
+      let per_edge = words /. m in
+      if per_edge > 75. then
+        Alcotest.failf "k=%d: %.1f words per input edge > 75" k per_edge)
+    [ (2, 0); (5, 3); (20, 11) ]
+
+(* The array transform against the list-based transform it replaced
+   (kept in [Transform_ref]): same vertex count, edges in the same
+   order with the same probability bits, same terminals, renumbering
+   and round count. *)
+let same_as_reference g ts =
+  let a = T.run g ~terminals:ts and r = Transform_ref.run g ~terminals:ts in
+  let edges g =
+    List.init (Ugraph.n_edges g) (fun i ->
+        let e = Ugraph.edge g i in
+        (e.Ugraph.u, e.Ugraph.v, Int64.bits_of_float e.Ugraph.p))
+  in
+  Ugraph.n_vertices a.T.graph = Ugraph.n_vertices r.Transform_ref.graph
+  && edges a.T.graph = edges r.Transform_ref.graph
+  && a.T.terminals = r.Transform_ref.terminals
+  && a.T.old_of_new = r.Transform_ref.old_of_new
+  && a.T.rounds = r.Transform_ref.rounds
+
+let t_transform_edgeless () =
+  let g = graph ~n:3 [] in
+  Alcotest.(check bool) "same as the list transform" true
+    (same_as_reference g [ 0; 2 ]);
+  Alcotest.(check int) "terminals kept" 2 (Ugraph.n_vertices (T.run g ~terminals:[ 0; 2 ]).T.graph)
+
+let prop_transform_matches_reference =
+  QCheck.Test.make ~name:"array transform = list transform" ~count:500
+    (arb ~max_n:14 ~max_m:30 ~max_k:4) (fun (n, es, ts) ->
+      same_as_reference (graph ~n es) ts)
+
+(* Sparse graphs, average degree about 2.5: long chains, several
+   contractions per round and several rounds. *)
+let prop_transform_matches_reference_sparse =
+  QCheck.Test.make ~name:"array = list transform: sparse" ~count:200
+    (arb ~max_n:60 ~max_m:80 ~max_k:6) (fun (n, es, ts) ->
+      same_as_reference (graph ~n es) ts)
+
+let prop_transform_matches_reference_gadgets =
+  QCheck.Test.make ~name:"array = list transform: gadgets" ~count:300
+    arb_with_gadget (fun (n, es, ts) -> same_as_reference (graph ~n es) ts)
+
 let suite =
   ( "preprocess",
     [
@@ -338,4 +484,15 @@ let suite =
           prop_reliability_exact_extension_differential;
           prop_pipeline_preserves_reliability;
           prop_pipeline_shrinks;
+        ]
+    @ [
+        Alcotest.test_case "pipeline: pinned fingerprints" `Quick t_pipeline_pinned_fingerprints;
+        Alcotest.test_case "pipeline: allocation gate" `Quick t_pipeline_allocation;
+        Alcotest.test_case "transform: edgeless graph" `Quick t_transform_edgeless;
+      ]
+    @ qtests
+        [
+          prop_transform_matches_reference;
+          prop_transform_matches_reference_gadgets;
+          prop_transform_matches_reference_sparse;
         ] )
